@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import coproduct, corpus, diagrams, engine, jaeger, scalars, textio
 from .diagrams import ANNULUS, Word
@@ -60,19 +58,6 @@ def _emit(value, fmt: str) -> None:
         print(textio.render(value, fmt))
 
 
-def _threads(args) -> int:
-    if getattr(args, "deterministic", False):
-        return 1
-    raw = os.environ.get("SKEINLAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(f"SKEINLAB_THREADS must be an integer, got {raw!r}") from None
-    if n == 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 def _parse_t_values(raw: str) -> list:
     try:
         return [int(p) for p in raw.split(",") if p != ""]
@@ -80,8 +65,7 @@ def _parse_t_values(raw: str) -> list:
         raise CliError(f"--t expects integers separated by commas, got {raw!r}") from None
 
 
-def cmd_eval(args) -> int:
-    word = _load_word(args.input, args.framing)
+def cmd_eval(args, word: Word) -> int:
     ana = diagrams.analyze(word)
     colours = sorted({c.colour for c in ana.components})
     if colours and colours != [colours[0]]:
@@ -94,21 +78,18 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_coproduct(args) -> int:
-    word = _load_word(args.input, args.framing)
+def cmd_coproduct(args, word: Word) -> int:
     _emit(coproduct.coproduct_diagram(word), args.format)
     return 0
 
 
-def cmd_jaeger(args) -> int:
-    word = _load_word(args.input, args.framing)
+def cmd_jaeger(args, word: Word) -> int:
     sink = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     _emit(jaeger.state_sum(word, 2, trace=sink), args.format)
     return 0
 
 
-def cmd_iterate(args) -> int:
-    word = _load_word(args.input, args.framing)
+def cmd_iterate(args, word: Word) -> int:
     element = coproduct.coproduct_iterated(word, args.slots)
     if word.surface == ANNULUS:
         _emit(element, args.format)
@@ -117,26 +98,19 @@ def cmd_iterate(args) -> int:
     return 0
 
 
-def cmd_specialize(args) -> int:
-    word = _load_word(args.input, args.framing)
+def cmd_specialize(args, word: Word) -> int:
     value = engine.eval_one_colour(word)
     _emit(scalars.specialize(value, _parse_t_values(args.t)), args.format)
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, _word=None) -> int:
     if args.corpus == "builtin":
         entries = corpus.load_builtin()
     else:
         entries = corpus.load_path(args.corpus)
     idents = IDENTITIES if args.identity == "all" else (args.identity,)
-    threads = _threads(args)
-    reports = []
-    if threads > 1 and len(idents) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda i: coproduct.verify(i, entries), idents))
-    else:
-        reports = [coproduct.verify(i, entries) for i in idents]
+    reports = [coproduct.verify(i, entries) for i in idents]
     failures = 0
     for report in reports:
         print(report.text())
@@ -160,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--framing", choices=(diagrams.RADIAL, diagrams.BLACKBOARD),
                        default=None)
         p.add_argument("--deterministic", action="store_true",
-                       help="single-threaded, byte-stable output")
+                       help="accepted for compatibility; output is always "
+                            "byte-stable")
 
     p = sub.add_parser("eval", help="evaluate a closed plane diagram")
     common(p)
@@ -193,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default="builtin",
                    help="builtin, a .mw file, or a directory of them")
     p.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    p.add_argument("--deterministic", action="store_true")
+    p.add_argument("--deterministic", action="store_true",
+                   help="accepted for compatibility; the suites always run "
+                        "one after another")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -201,8 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    word = None
     try:
-        return args.func(args)
+        if args.command != "verify":
+            word = _load_word(args.input, args.framing)
+        return args.func(args, word)
+    except RecursionError:
+        size = "" if word is None else f" on a {len(word.events)}-event diagram"
+        print(f"skeinlab: error: {args.command} exceeded the interpreter's "
+              f"recursion limit{size}", file=sys.stderr)
+        return 1
     except (CliError, textio.DiagnosticError, diagrams.DiagramError,
             engine.EvalError, engine.BudgetError, jaeger.StateSumError,
             coproduct.CoproductError, scalars.ArityError,

@@ -369,12 +369,6 @@ def writhe(word: Word) -> int:
     return sum(c.sign for c in analyze(word).crossings)
 
 
-def total_rotation(word: Word, framing: Optional[str] = None) -> int:
-    ana = analyze(word)
-    f = framing or word.framing
-    return sum(rotation_number(c, f) for c in ana.components)
-
-
 def passage_sequence(ana: Analysis, order: Optional[list] = None,
                      basepoints: Optional[dict] = None) -> list:
     """Flatten crossing passages by walking each component from its basepoint.

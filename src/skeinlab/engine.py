@@ -9,19 +9,30 @@ the component self-writhes:
 
     value = d^(#components) * q^(t * total self-writhe).
 
-Memoization is keyed on the exact serialized bytes of the word. Values
-are immutable, so a shared table is safe under concurrent insert-if-absent.
+Before a word is resolved it is freely reduced: every adjacent pair of
+crossings at the same position with opposite tags is a Reidemeister II
+move, which leaves the framed invariant unchanged, so the pair is
+dropped, and pairs that become adjacent cancel in turn. Flipping the
+first bad crossing of the closure of s1^n leaves such a pair with its
+neighbour, so T(2,n) resolves through n+2 words instead of O(n^2).
+
+Memoization is keyed on the exact serialized bytes of the reduced word.
+Values are immutable, so a shared table is safe under concurrent
+insert-if-absent. The randomized oracle `naive_eval` does no reduction,
+so it stays an independent check on the memoized path.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import product as iproduct
 from typing import Optional
 
 from . import diagrams
-from .diagrams import (GREEN, ORANGE, OVER_LEFT, PLANE, RED, Word, analyze,
-                       flip_crossing, smooth_crossing, subdiagram, word_key)
+from .diagrams import (GREEN, ORANGE, OVER_LEFT, PLANE, RED, XING, Word,
+                       analyze, flip_crossing, smooth_crossing, subdiagram,
+                       word_key)
 from . import scalars
 from .scalars import Scalar
 
@@ -60,10 +71,31 @@ def _first_bad(ana, order=None, basepoints=None) -> Optional[int]:
     return None
 
 
+@lru_cache(maxsize=None)
+def _loop_power(loops: int) -> Scalar:
+    """d^loops; Scalars are immutable, so the cached values are shared."""
+    return scalars.delta(1, 1) ** loops
+
+
 def _base_value(ana) -> Scalar:
     sw = sum(c.self_writhe for c in ana.components)
-    loops = len(ana.components)
-    return scalars.monomial(1, 1, a=[sw]) * scalars.delta(1, 1) ** loops
+    return scalars.monomial(1, 1, a=[sw]) * _loop_power(len(ana.components))
+
+
+def reduce_r2(word: Word) -> Word:
+    """Drop Reidemeister II pairs: adjacent crossings at one position with
+    opposite tags. The stack lets pairs cascade, so the closure of
+    s1 s2 s2^-1 s1^-1 loses all four crossings."""
+    kept = []
+    for e in word.events:
+        if (e.kind == XING and kept and kept[-1].kind == XING
+                and kept[-1].pos == e.pos and kept[-1].tag != e.tag):
+            kept.pop()
+        else:
+            kept.append(e)
+    if len(kept) == len(word.events):
+        return word
+    return Word(word.surface, word.framing, word.profile, tuple(kept))
 
 
 def eval_one_colour(word: Word, memo: Optional[dict] = None,
@@ -74,10 +106,11 @@ def eval_one_colour(word: Word, memo: Optional[dict] = None,
     if memo is None:
         memo = {}
     state = [budget]
-    return _resolve(word, memo, state)
+    return _resolve(reduce_r2(word), memo, state)
 
 
 def _resolve(word: Word, memo: dict, state: list) -> Scalar:
+    """Value of an R2-reduced word; reduces each child before recursing."""
     key = word_key(word)
     hit = memo.get(key)
     if hit is not None:
@@ -91,8 +124,10 @@ def _resolve(word: Word, memo: dict, state: list) -> Scalar:
         val = _base_value(ana)
     else:
         cross = ana.crossings[bad]
-        flipped = _resolve(flip_crossing(word, cross.event_index), memo, state)
-        smoothed = _resolve(smooth_crossing(word, cross.event_index, ana), memo, state)
+        flipped = _resolve(reduce_r2(flip_crossing(word, cross.event_index)),
+                           memo, state)
+        smoothed = _resolve(reduce_r2(smooth_crossing(word, cross.event_index, ana)),
+                            memo, state)
         s = scalars.q_minus_qinv(1)
         val = flipped + cross.sign * (s * smoothed)
     memo.setdefault(key, val)

@@ -19,6 +19,8 @@ Exponent keys are tuples (e_q, e_a1, ..., e_an) with integer entries.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from math import comb
 from typing import Iterable, Mapping
 
 
@@ -131,10 +133,10 @@ class Scalar:
         self._require_same(other)
         k = max(self.den_pow, other.den_pow)
         out: dict = {}
-        for src, lift in ((self, k - self.den_pow), (other, k - other.den_pow)):
+        for src in (self, other):
             terms = src.terms
-            for _ in range(lift):
-                terms = _mul_terms(terms, _S_TERMS(self.arity))
+            if src.den_pow < k:
+                terms = _mul_terms(terms, _s_power_terms(k - src.den_pow, self.arity))
             for e, c in terms.items():
                 out[e] = out.get(e, 0) + c
         return Scalar(self.arity, out, k)
@@ -168,8 +170,9 @@ class Scalar:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -200,9 +203,12 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return out
 
 
-def _S_TERMS(arity: int) -> dict:
+@lru_cache(maxsize=None)
+def _s_power_terms(k: int, arity: int) -> dict:
+    """Terms of (q - q^-1)^k by the binomial theorem. The dict is shared
+    between callers, so it must never be mutated."""
     zero = (0,) * arity
-    return {(1,) + zero: 1, (-1,) + zero: -1}
+    return {(k - 2 * j,) + zero: (-1) ** j * comb(k, j) for j in range(k + 1)}
 
 
 # -- named elements -----------------------------------------------------
@@ -236,7 +242,7 @@ def a_power(slot: int, e: int, arity: int) -> Scalar:
 
 
 def q_minus_qinv(arity: int) -> Scalar:
-    return Scalar(arity, _S_TERMS(arity), 0, _canonical=True)
+    return Scalar(arity, _s_power_terms(1, arity), 0, _canonical=True)
 
 
 def delta(slot: int, arity: int) -> Scalar:

@@ -1,8 +1,12 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
 from skeinlab import cli
+
+REGRESSIONS = Path(__file__).parent / "regressions"
 
 
 @pytest.fixture()
@@ -105,12 +109,6 @@ def test_eval_multicoloured_input(tmp_path, capsys):
     assert data["arity"] == 2
 
 
-def test_threads_env_validation(trefoil_file, capsys, monkeypatch):
-    monkeypatch.setenv("SKEINLAB_THREADS", "zebra")
-    assert cli.main(["verify", "counit"]) == 1
-    assert "SKEINLAB_THREADS" in capsys.readouterr().err
-
-
 def test_verification_failure_exits_two(capsys, monkeypatch):
     from skeinlab import coproduct
 
@@ -123,3 +121,22 @@ def test_verification_failure_exits_two(capsys, monkeypatch):
     assert cli.main(["verify", "counit", "--deterministic"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "witness" in out
+
+
+def test_deep_unlink_answers_or_diagnoses(capsys):
+    # 600 split circles, 1200 events: the recursive box walk once raised a
+    # raw RecursionError out of main
+    path = str(REGRESSIONS / "unlink-600-ccw.mw")
+    t0 = time.perf_counter()
+    rc = cli.main(["coproduct", path, "--format", "json"])
+    err = capsys.readouterr().err
+    assert rc in (0, 1) and "Traceback" not in err
+    if rc == 1:
+        assert err.count("\n") == 1
+        assert err.startswith("skeinlab: error: coproduct ")
+        assert "1200-event" in err
+    assert cli.main(["eval", path, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["arity"] == 1 and data["den_pow"] == 600
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 3.0  # about 0.4 s on a 2-vCPU machine

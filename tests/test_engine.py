@@ -136,6 +136,50 @@ def test_naive_oracle_agrees():
         assert E.naive_eval(w, rng) == E.eval_one_colour(w)
 
 
+def test_r2_pairs_cancel_in_cascade():
+    # closure of s1 s2 s2^-1 s1^-1: the inner pair cancels, then the outer
+    w = T.desugar_braid(3, [1, 2, -2, -1], True)
+    reduced = E.reduce_r2(w)
+    assert not any(e.kind == XING for e in reduced.events)
+    unlink = T.desugar_braid(3, [], True)
+    assert reduced == unlink
+    assert E.eval_one_colour(w) == E.eval_one_colour(unlink) == d() ** 3
+
+
+def test_r2_reduction_keeps_non_pairs():
+    hopf = T.desugar_braid(2, [1, 1], True)  # same tags: a full twist
+    assert E.reduce_r2(hopf) == hopf
+    split = Word(events=(
+        Event(CUP, 1, ">"), Event(CUP, 3, ">"), Event(XING, 2, "o"),
+        Event(CUP, 5, ">"), Event(CAP, 5, "<"), Event(XING, 2, "u"),
+        Event(CAP, 3, "<"), Event(CAP, 1, "<")))
+    D.validate(split)
+    assert E.reduce_r2(split) == split
+    assert E.eval_one_colour(split) == E.naive_eval(split) == d() ** 3
+
+
+@pytest.mark.parametrize("n", [36, 200])
+def test_torus_memo_is_linear(n):
+    memo = {}
+    E.eval_one_colour(T.desugar_braid(2, [1] * n, True), memo)
+    assert len(memo) <= n + 2
+
+
+def test_naive_oracle_agrees_across_r2_pairs():
+    rng = random.Random(49)
+    checked = 0
+    while checked < 20:
+        w = random_word(rng, max_events=10, max_crossings=4)
+        at = rng.randint(0, len(w.events))
+        prof = D.profiles(w)[at]
+        if len(prof) < 2:
+            continue
+        r2 = D.insert_r2(w, at, rng.randint(1, len(prof) - 1), rng.choice("ou"))
+        assert len(E.reduce_r2(r2).events) <= len(w.events)
+        assert E.naive_eval(r2, rng) == E.eval_one_colour(r2) == E.eval_one_colour(w)
+        checked += 1
+
+
 def test_budget_error():
     tre = T.desugar_braid(2, [1, 1, 1], True)
     with pytest.raises(E.BudgetError) as err:
