@@ -18,11 +18,9 @@ from .textio import (DiagnosticError, GrammarError, LexicalError, SemanticError,
                      desugar_braid, parse_morse, render, render_morse)
 from .engine import (BudgetError, EvalError, eval_multi_colour, eval_one_colour,
                      eval_orange, naive_eval, orange_resolutions)
-from .jaeger import (StateSumError, enumerate_admissible, interaction,
-                     state_sum, state_sum_3)
-from .coproduct import (CALIBRATED, Conventions, CoproductElement,
-                        CoproductError, annulus_eval_family, apply_counit,
-                        calibrate, coproduct_diagram, coproduct_iterated,
+from .jaeger import StateSumError, enumerate_admissible, interaction, state_sum
+from .coproduct import (CoproductElement, CoproductError, annulus_eval_family,
+                        apply_counit, coproduct_diagram, coproduct_iterated,
                         counit_word, verify)
 from .corpus import BUILTIN_SOURCES, builtin_word, load_builtin, load_path
 

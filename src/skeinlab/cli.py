@@ -66,8 +66,10 @@ def _parse_t_values(raw: str) -> list:
 
 
 def cmd_eval(args, word: Word) -> int:
-    ana = diagrams.analyze(word)
-    colours = sorted({c.colour for c in ana.components})
+    # the loaded word is valid, so every cap joins one colour and the
+    # cups and the profile carry every component's colour
+    colours = sorted({e.colour for e in word.events if e.kind == diagrams.CUP}
+                     | {c for _, c in word.profile})
     if colours and colours != [colours[0]]:
         value = engine.eval_multi_colour(word, max(colours))
     else:

@@ -19,16 +19,19 @@ picks up the same unit, one power per winding.
 
 Which side of a cutting smoothing carries the larger label, the sign of
 the dressing exponents, and the winding sign are not readable from the
-source figures. They are exposed as a finite convention space, pinned
-once by the calibration anchors (the coproduct of the counterclockwise
-unknot, both framed annulus core computations, and path agreement with
-the state sum), and frozen in CALIBRATED below. calibrate() re-derives
-the frozen choice; it is a build-time tool, not a runtime search.
+source figures. Each is a constant in one private function (_dressing,
+_winding, _cut_eligible; the state sum's pairing is
+jaeger._rotation_correction), pinned by the calibration anchors: the
+coproduct of the counterclockwise unknot, both framed annulus core
+computations, and path agreement with the state sum on the unknot, a
+kink, the Hopf link and the sideways one-crossing curls.
+tests/test_coproduct.py::test_calibration_unique_survivor substitutes
+every alternative and shows this choice is the only survivor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Optional
 
@@ -37,33 +40,6 @@ from .diagrams import (ANNULUS, BLACKBOARD, CAP, CUP, Event, GREEN, LEFTMOVING,
                        OVER_LEFT, PLANE, RADIAL, RIGHTMOVING, UP, Word, XING,
                        analyze)
 from .scalars import Scalar
-
-
-@dataclass(frozen=True)
-class Conventions:
-    """Binary convention choices with their calibrated values."""
-    cut_big_on_under_in: bool = True
-    dressing_exponent: int = 1
-    winding_sign: int = 1
-    statesum_variant: str = "calibrated"
-
-    @property
-    def cut_side(self) -> str:
-        return "under_in" if self.cut_big_on_under_in else "over_in"
-
-
-CALIBRATED = Conventions()
-
-CONVENTION_ANCHORS = {
-    "cut_big_on_under_in": "one-crossing curls with a sideways crossing, against "
-                           "the ring coproduct of their invariant (upward-only "
-                           "diagrams cannot separate this choice)",
-    "dressing_exponent": "term-level coproduct of the counterclockwise unknot",
-    "winding_sign": "blackboard-framed annulus core computation",
-    "statesum_variant": "state sum of unknot, kinks and Hopf link against the "
-                        "ring coproduct; paired with the cutting side by a "
-                        "relabelling symmetry",
-}
 
 
 class CoproductError(ValueError):
@@ -161,21 +137,33 @@ class CoproductElement:
         return "\n".join(lines) if lines else "0"
 
 
-def _dressing(colour: int, kind: str, tag: str, conv: Conventions) -> tuple:
+def _dressing(colour: int, kind: str, tag: str) -> tuple:
     """Exponent vector (e_a1, e_a2) of the extremum dressing, two labels."""
-    e = conv.dressing_exponent
     if colour == 1 and kind == CUP and tag == RIGHTMOVING:
-        return (0, e)
+        return (0, 1)
     if colour == 1 and kind == CAP and tag == RIGHTMOVING:
-        return (0, -e)
+        return (0, -1)
     if colour == 2 and kind == CUP and tag == LEFTMOVING:
-        return (e, 0)
+        return (1, 0)
     if colour == 2 and kind == CAP and tag == LEFTMOVING:
-        return (-e, 0)
+        return (-1, 0)
     return (0, 0)
 
 
-def coproduct_diagram(word: Word, conventions: Conventions = CALIBRATED) -> CoproductElement:
+def _winding(orientation: str, colour: int) -> tuple:
+    """Exponent vector of one blackboard annulus strand at the bottom
+    profile: the dressing of one passage through the gluing profile."""
+    w = 1 if orientation == UP else -1
+    return (0, w) if colour == 1 else (-w, 0)
+
+
+def _cut_eligible(cl: int, cr: int, tag: str) -> bool:
+    """Does an upward crossing with incoming labels (cl, cr) also branch
+    into its cutting smoothing? The larger label must enter under."""
+    return (cr > cl) if tag == OVER_LEFT else (cl > cr)
+
+
+def coproduct_diagram(word: Word) -> CoproductElement:
     """Two-colour splitting of a closed one-colour diagram.
 
     Output terms keep their diagrams un-normalized; evaluation is a
@@ -185,7 +173,7 @@ def coproduct_diagram(word: Word, conventions: Conventions = CALIBRATED) -> Copr
     ana = analyze(word)
     if len({c.colour for c in ana.components}) > 1:
         raise CoproductError("coproduct input must be single-coloured")
-    nw = diagrams.normalize_crossings(word)
+    nw = diagrams.normalize_crossings(word, ana)
     p = len(nw.profile)
     out = CoproductElement(2, word.surface, word.framing)
     s_unit = scalars.q_minus_qinv(2)
@@ -211,7 +199,7 @@ def coproduct_diagram(word: Word, conventions: Conventions = CALIBRATED) -> Copr
         e = nw.events[i]
         if e.kind == CUP:
             for c in (1, 2):
-                d = _dressing(c, CUP, e.tag, conventions)
+                d = _dressing(c, CUP, e.tag)
                 nl = labels[:e.pos - 1] + [c, c] + labels[e.pos - 1:]
                 se = {1: slot_events[1][:], 2: slot_events[2][:]}
                 se[c].append(Event(CUP, local_pos(labels, e.pos, c), e.tag, GREEN))
@@ -221,7 +209,7 @@ def coproduct_diagram(word: Word, conventions: Conventions = CALIBRATED) -> Copr
             c1, c2 = labels[e.pos - 1], labels[e.pos]
             if c1 != c2:
                 return
-            d = _dressing(c1, CAP, e.tag, conventions)
+            d = _dressing(c1, CAP, e.tag)
             nl = labels[:e.pos - 1] + labels[e.pos + 1:]
             se = {1: slot_events[1][:], 2: slot_events[2][:]}
             se[c1].append(Event(CAP, local_pos(labels, e.pos, c1), e.tag))
@@ -236,25 +224,18 @@ def coproduct_diagram(word: Word, conventions: Conventions = CALIBRATED) -> Copr
                 se = {1: slot_events[1][:], 2: slot_events[2][:]}
                 se[cl].append(Event(XING, local_pos(labels, e.pos, cl), e.tag))
             walk(i + 1, nl, se, sign, s_pow, exps)
-            if conventions.cut_big_on_under_in:
-                eligible = (cr > cl) if e.tag == OVER_LEFT else (cl > cr)
-            else:
-                eligible = (cl > cr) if e.tag == OVER_LEFT else (cr > cl)
-            if eligible:
+            if _cut_eligible(cl, cr, e.tag):
                 xsign = 1 if e.tag == OVER_LEFT else -1
                 walk(i + 1, labels[:], slot_events, sign * xsign, s_pow + 1, exps)
 
-    bottom = list(nw.profile)
     for start in iproduct((1, 2), repeat=p):
         start_labels = list(start)
         exps = [0, 0]
         if nw.surface == ANNULUS and nw.framing == BLACKBOARD:
-            for (o, _), c in zip(bottom, start_labels):
-                w = conventions.winding_sign * (1 if o == UP else -1)
-                if c == 1:
-                    exps[1] += w * conventions.dressing_exponent
-                else:
-                    exps[0] -= w * conventions.dressing_exponent
+            for (o, _), c in zip(nw.profile, start_labels):
+                d = _winding(o, c)
+                exps[0] += d[0]
+                exps[1] += d[1]
         walk(0, start_labels, {1: [], 2: []}, 1, 0, tuple(exps))
     return out
 
@@ -280,11 +261,10 @@ def apply_counit(element: CoproductElement, slot: int) -> CoproductElement:
     return out
 
 
-def _expand_slot(element: CoproductElement, slot: int,
-                 conventions: Conventions) -> CoproductElement:
+def _expand_slot(element: CoproductElement, slot: int) -> CoproductElement:
     out = CoproductElement(element.slots + 1, element.surface, element.framing)
     for words, coeff in element.terms.items():
-        sub = coproduct_diagram(words[slot - 1], conventions)
+        sub = coproduct_diagram(words[slot - 1])
         lifted = scalars.coproduct_slot(coeff, slot)
         for (d1, d2), c in sub.terms.items():
             cc = scalars.rename_slots(c, (slot, slot + 1), element.slots + 1)
@@ -292,15 +272,14 @@ def _expand_slot(element: CoproductElement, slot: int,
     return out
 
 
-def coproduct_iterated(word: Word, n: int, side: str = "left",
-                       conventions: Conventions = CALIBRATED) -> CoproductElement:
+def coproduct_iterated(word: Word, n: int, side: str = "left") -> CoproductElement:
     """Iterate the two-colour coproduct to n tensor slots."""
     if n < 2:
         raise CoproductError("iterated coproduct needs at least two slots")
-    element = coproduct_diagram(word, conventions)
+    element = coproduct_diagram(word)
     while element.slots < n:
         slot = 1 if side == "left" else element.slots
-        element = _expand_slot(element, slot, conventions)
+        element = _expand_slot(element, slot)
     return element
 
 
@@ -367,8 +346,7 @@ def _core_words() -> tuple:
     return radial, blackboard
 
 
-def verify(identity: str, corpus, conventions: Conventions = CALIBRATED,
-           memo: Optional[dict] = None) -> Report:
+def verify(identity: str, corpus, memo: Optional[dict] = None) -> Report:
     """Run one of the named identities over (name, word) pairs."""
     if memo is None:
         memo = {}
@@ -378,9 +356,8 @@ def verify(identity: str, corpus, conventions: Conventions = CALIBRATED,
 
     if identity == "jaeger":
         for name, w in plane_words:
-            lhs = jaeger.state_sum(w, 2, memo, variant=conventions.statesum_variant,
-                                   cut_side=conventions.cut_side)
-            mid = coproduct_diagram(w, conventions).evaluate(memo)
+            lhs = jaeger.state_sum(w, 2, memo)
+            mid = coproduct_diagram(w).evaluate(memo)
             rhs = scalars.scalar_coproduct(engine.eval_one_colour(w, memo))
             ok = lhs == rhs and mid == rhs
             report.record(name, ok,
@@ -389,9 +366,9 @@ def verify(identity: str, corpus, conventions: Conventions = CALIBRATED,
                                         f"ring {scalars.pretty(rhs)}")
     elif identity == "coassoc":
         for name, w in plane_words:
-            s3 = jaeger.state_sum_3(w, memo)
-            left = coproduct_iterated(w, 3, "left", conventions).evaluate(memo)
-            right = coproduct_iterated(w, 3, "right", conventions).evaluate(memo)
+            s3 = jaeger.state_sum(w, 3, memo)
+            left = coproduct_iterated(w, 3, "left").evaluate(memo)
+            right = coproduct_iterated(w, 3, "right").evaluate(memo)
             ok = s3 == left == right
             report.record(name, ok,
                           "" if ok else f"3-label {scalars.pretty(s3)} vs "
@@ -400,7 +377,7 @@ def verify(identity: str, corpus, conventions: Conventions = CALIBRATED,
     elif identity == "counit":
         for name, w in plane_words:
             h = engine.eval_one_colour(w, memo)
-            element = coproduct_diagram(w, conventions)
+            element = coproduct_diagram(w)
             lhs = apply_counit(element, 2).evaluate(memo)
             rhs = apply_counit(element, 1).evaluate(memo)
             ok = lhs == h and rhs == h
@@ -410,9 +387,9 @@ def verify(identity: str, corpus, conventions: Conventions = CALIBRATED,
     elif identity == "mult":
         for (n1, w1), (n2, w2) in iproduct(plane_words, plane_words):
             union = diagrams.combine(w1, w2)
-            lhs = coproduct_diagram(union, conventions).evaluate(memo)
-            rhs = (coproduct_diagram(w1, conventions).evaluate(memo)
-                   * coproduct_diagram(w2, conventions).evaluate(memo))
+            lhs = coproduct_diagram(union).evaluate(memo)
+            rhs = (coproduct_diagram(w1).evaluate(memo)
+                   * coproduct_diagram(w2).evaluate(memo))
             ok = lhs == rhs
             report.record(f"{n1}|{n2}", ok,
                           "" if ok else f"{scalars.pretty(lhs)} vs {scalars.pretty(rhs)}")
@@ -422,10 +399,10 @@ def verify(identity: str, corpus, conventions: Conventions = CALIBRATED,
         for framing, entries in sorted(by_framing.items()):
             base = entries[0][1]
             for k in (2, 3):
-                lhs = coproduct_diagram(diagrams.power(base, k), conventions)
-                rhs = coproduct_diagram(base, conventions)
+                lhs = coproduct_diagram(diagrams.power(base, k))
+                rhs = coproduct_diagram(base)
                 for _ in range(k - 1):
-                    rhs = rhs * coproduct_diagram(base, conventions)
+                    rhs = rhs * coproduct_diagram(base)
                 ok = (annulus_eval_family(lhs, 2, memo)
                       == annulus_eval_family(rhs, 2, memo))
                 report.record(f"{entries[0][0]}^{k} ({framing})", ok,
@@ -437,7 +414,7 @@ def verify(identity: str, corpus, conventions: Conventions = CALIBRATED,
         empty = Word(ANNULUS, RADIAL, (), ())
         want_radial.add((core1, empty), scalars.integer(1, 2))
         want_radial.add((empty, core1), scalars.integer(1, 2))
-        got_radial = coproduct_diagram(radial, conventions)
+        got_radial = coproduct_diagram(radial)
         report.record("core radial", got_radial == want_radial,
                       "" if got_radial == want_radial else got_radial.pretty())
         core2 = Word(ANNULUS, BLACKBOARD, ((UP, GREEN),), ())
@@ -445,63 +422,10 @@ def verify(identity: str, corpus, conventions: Conventions = CALIBRATED,
         want_bb = CoproductElement(2, ANNULUS, BLACKBOARD)
         want_bb.add((core2, emptyb), scalars.a_power(2, 1, 2))
         want_bb.add((emptyb, core2), scalars.a_power(1, -1, 2))
-        got_bb = coproduct_diagram(blackboard, conventions)
+        got_bb = coproduct_diagram(blackboard)
         report.record("core blackboard", got_bb == want_bb,
                       "" if got_bb == want_bb else got_bb.pretty())
     else:
         raise CoproductError(f"unknown identity {identity!r}")
     return report
 
-
-# -- calibration ------------------------------------------------------------
-
-
-def calibrate(verbose: bool = False) -> list:
-    """Search the convention space against the anchors; returns survivors.
-
-    Anchors: the ring coproduct of the unknot, kinks and Hopf link through
-    the state sum; the same through the box path; the term-level unknot
-    coproduct; both framed annulus core computations; and the four
-    one-crossing sideways curls, which are the inputs that separate the
-    cutting side from its relabelled twin. Build-time tool: the unique
-    survivor must equal CALIBRATED, which is asserted by the test suite,
-    never re-run at evaluation time.
-    """
-    unknot = Word(events=(Event(CUP, 1, RIGHTMOVING), Event(CAP, 1, LEFTMOVING)))
-    kink = textio.desugar_braid(2, [1], True)
-    hopf = textio.desugar_braid(2, [1, 1], True)
-    curls = [Word(events=(Event(CUP, 1, cup_tag), Event(XING, 1, x_tag),
-                          Event(CAP, 1, cup_tag)))
-             for cup_tag in (RIGHTMOVING, LEFTMOVING)
-             for x_tag in (OVER_LEFT, "u")]
-    anchors = [unknot, kink, hopf] + curls
-    survivors = []
-    for variant in ("calibrated", "printed", "calibrated_inv", "printed_inv"):
-        for big_under in (True, False):
-            for expo in (1, -1):
-                for wsign in (1, -1):
-                    conv = Conventions(big_under, expo, wsign, variant)
-                    memo: dict = {}
-                    try:
-                        ok = all(
-                            jaeger.state_sum(w, 2, memo, variant=variant,
-                                             cut_side=conv.cut_side)
-                            == scalars.scalar_coproduct(engine.eval_one_colour(w, memo))
-                            for w in anchors)
-                        ok = ok and verify("framing-remark", [], conv, memo).ok
-                        for w in anchors:
-                            ok = ok and (coproduct_diagram(w, conv).evaluate(memo)
-                                         == scalars.scalar_coproduct(
-                                             engine.eval_one_colour(w, memo)))
-                        empty = Word()
-                        want = CoproductElement(2, PLANE)
-                        want.add((unknot, empty), scalars.a_power(2, 1, 2))
-                        want.add((empty, unknot), scalars.a_power(1, -1, 2))
-                        ok = ok and coproduct_diagram(unknot, conv) == want
-                    except (jaeger.StateSumError, scalars.SpecializeError):
-                        ok = False
-                    if ok:
-                        survivors.append(conv)
-                    if verbose:
-                        print(("pass" if ok else "fail"), conv)
-    return survivors

@@ -17,8 +17,7 @@ first bad crossing of the closure of s1^n leaves such a pair with its
 neighbour, so T(2,n) resolves through n+2 words instead of O(n^2).
 
 Memoization is keyed on the exact serialized bytes of the reduced word.
-Values are immutable, so a shared table is safe under concurrent
-insert-if-absent. The randomized oracle `naive_eval` does no reduction,
+The randomized oracle `naive_eval` does no reduction,
 so it stays an independent check on the memoized path.
 """
 

@@ -16,8 +16,9 @@ strand carries the larger label and how the exponents pair are two faces
 of one relabelling symmetry: flipping both reproduces the same sum, and
 diagrams whose crossings all point upward cannot see the difference at
 all. The one-crossing curls with a sideways crossing do separate the
-choices, and they pin exactly this combination; see the calibration
-notes in the coproduct module.
+choices, and they pin exactly this combination:
+tests/test_coproduct.py::test_calibration_unique_survivor substitutes
+each alternative and shows this one is the only survivor.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def edge_list(ana) -> list:
     return sorted({ana.edge(s) for s in range(ana.n_slots)})
 
 
-def _pattern_possible(vals, n: int, cut_side: str = "under_in") -> bool:
+def _pattern_possible(vals, n: int) -> bool:
     """Can the partial assignment (over-in, under-in, over-out, under-out)
     still become admissible?"""
     va, vb, vc, vd = vals
@@ -51,8 +52,6 @@ def _pattern_possible(vals, n: int, cut_side: str = "under_in") -> bool:
     if agree(va, vd) and agree(vb, vc):
         hi = vb if vb is not None else vc
         lo = va if va is not None else vd
-        if cut_side == "over_in":
-            hi, lo = lo, hi
         if hi is None:
             return lo is None or lo < n
         if lo is None:
@@ -62,8 +61,7 @@ def _pattern_possible(vals, n: int, cut_side: str = "under_in") -> bool:
 
 
 def enumerate_admissible(word: Word, n: int, ana=None,
-                         edge_order: Optional[list] = None,
-                         cut_side: str = "under_in") -> Iterator[dict]:
+                         edge_order: Optional[list] = None) -> Iterator[dict]:
     """Depth-first enumeration with per-crossing pruning.
 
     Yields maps from edge root to label. Deterministic in sorted edge
@@ -81,7 +79,7 @@ def enumerate_admissible(word: Word, n: int, ana=None,
     def ok_around(edge) -> bool:
         for x in incident[edge]:
             vals = tuple(assignment.get(e) for e in x.edges)
-            if not _pattern_possible(vals, n, cut_side):
+            if not _pattern_possible(vals, n):
                 return False
         return True
 
@@ -99,33 +97,29 @@ def enumerate_admissible(word: Word, n: int, ana=None,
     yield from dfs(0)
 
 
-def is_admissible(ana, labelling: dict, cut_side: str = "under_in") -> bool:
+def _is_cut(va, vb, vc, vd) -> bool:
+    """A cutting vertex: labels follow the 0-smoothing and the under-in
+    edge carries the strictly larger one."""
+    return va == vd and vb == vc and vb > va
+
+
+def is_admissible(ana, labelling: dict) -> bool:
     for x in ana.crossings:
         va, vb, vc, vd = (labelling[e] for e in x.edges)
-        if va == vc and vb == vd:
-            continue
-        cut_ok = (vb > va) if cut_side == "under_in" else (va > vb)
-        if va == vd and vb == vc and cut_ok:
-            continue
-        return False
+        if not ((va == vc and vb == vd) or _is_cut(va, vb, vc, vd)):
+            return False
     return True
 
 
-def cutting_vertices(ana, labelling: dict, cut_side: str = "under_in") -> list:
-    out = []
-    for i, x in enumerate(ana.crossings):
-        va, vb, vc, vd = (labelling[e] for e in x.edges)
-        cut_ok = (vb > va) if cut_side == "under_in" else (va > vb)
-        if va == vd and vb == vc and cut_ok:
-            out.append(i)
-    return out
+def cutting_vertices(ana, labelling: dict) -> list:
+    return [i for i, x in enumerate(ana.crossings)
+            if _is_cut(*(labelling[e] for e in x.edges))]
 
 
-def interaction(word: Word, labelling: dict, n: int = 2, ana=None,
-                cut_side: str = "under_in") -> Scalar:
+def interaction(word: Word, labelling: dict, n: int = 2, ana=None) -> Scalar:
     """Product of sgn(v)(q - q^-1) over the cutting vertices."""
     ana = ana or analyze(word)
-    cuts = cutting_vertices(ana, labelling, cut_side)
+    cuts = cutting_vertices(ana, labelling)
     sign = 1
     for i in cuts:
         sign *= ana.crossings[i].sign
@@ -133,12 +127,11 @@ def interaction(word: Word, labelling: dict, n: int = 2, ana=None,
     return scalars.integer(sign, n) * s ** len(cuts)
 
 
-def smoothed_coloured(word: Word, labelling: dict, ana=None,
-                      cut_side: str = "under_in") -> Word:
+def smoothed_coloured(word: Word, labelling: dict, ana=None) -> Word:
     """Smooth every cutting vertex and colour each arc by its label."""
     ana = ana or analyze(word)
     cut_events = {}
-    for i in cutting_vertices(ana, labelling, cut_side):
+    for i in cutting_vertices(ana, labelling):
         x = ana.crossings[i]
         cut_events[x.event_index] = x
     slot_iter = len(ana.bottom)
@@ -172,28 +165,13 @@ def smoothed_coloured(word: Word, labelling: dict, ana=None,
     return out
 
 
-def _rotation_correction(rots: list, n: int, variant: str) -> Scalar:
-    exps = [0] * n
-    if variant == "calibrated" or variant == "calibrated_inv":
-        for j in range(1, n + 1):
-            exps[j - 1] = (sum(rots[c - 1] for c in range(1, j))
-                           - sum(rots[c - 1] for c in range(j + 1, n + 1)))
-        if variant == "calibrated_inv":
-            exps = [-e for e in exps]
-    elif variant in ("printed", "printed_inv"):
-        if n != 2:
-            raise StateSumError("the printed pairing is a two-label coefficient")
-        exps = [-rots[0], rots[1]]
-        if variant == "printed_inv":
-            exps = [rots[0], -rots[1]]
-    else:
-        raise StateSumError(f"unknown rotation-correction variant {variant!r}")
+def _rotation_correction(rots: list, n: int) -> Scalar:
+    exps = [sum(rots[:j - 1]) - sum(rots[j:]) for j in range(1, n + 1)]
     return scalars.monomial(n, 1, a=exps)
 
 
 def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
-              trace: Optional[Callable[[str], None]] = None,
-              variant: str = "calibrated", cut_side: str = "under_in") -> Scalar:
+              trace: Optional[Callable[[str], None]] = None) -> Scalar:
     """The n-label composition sum of a closed one-colour plane diagram.
 
     Each admissible labelling contributes its interaction, the rotation
@@ -208,9 +186,9 @@ def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
     if memo is None:
         memo = {}
     total = Scalar.zero(n)
-    for f in enumerate_admissible(word, n, ana, cut_side=cut_side):
-        smoothed = smoothed_coloured(word, f, ana, cut_side)
-        coeff = interaction(word, f, n, ana, cut_side)
+    for f in enumerate_admissible(word, n, ana):
+        smoothed = smoothed_coloured(word, f, ana)
+        coeff = interaction(word, f, n, ana)
         rots = []
         parts = []
         for c in range(1, n + 1):
@@ -218,20 +196,15 @@ def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
             parts.append(part)
             rots.append(sum(rotation_number(comp, word.framing)
                             for comp in diagrams.trace_components(part)))
-        coeff = coeff * _rotation_correction(rots, n, variant)
+        coeff = coeff * _rotation_correction(rots, n)
         value = coeff
         for c, part in enumerate(parts, start=1):
             h = engine.eval_one_colour(diagrams.recolour(part, 1), memo)
             value = value * scalars.tensor_embed(h, c, n)
         if trace is not None:
-            cuts = cutting_vertices(ana, f, cut_side)
+            cuts = cutting_vertices(ana, f)
             labels = [f[e] for e in edge_list(ana)]
             trace(f"labels={labels} cuts={cuts} coeff={scalars.pretty(coeff)}")
         total = total + value
     return total
 
-
-def state_sum_3(word: Word, memo: Optional[dict] = None,
-                trace: Optional[Callable[[str], None]] = None,
-                cut_side: str = "under_in") -> Scalar:
-    return state_sum(word, 3, memo, trace, cut_side=cut_side)

@@ -92,7 +92,7 @@ def test_criterion_05_coassociativity():
     memo = {}
     for name in JAEGER_NAMES + ("unlink-2",):
         w = CORPUS.builtin_word(name)
-        s3 = J.state_sum_3(w, memo)
+        s3 = J.state_sum(w, 3, memo)
         left = C.coproduct_iterated(w, 3, "left").evaluate(memo)
         right = C.coproduct_iterated(w, 3, "right").evaluate(memo)
         assert s3 == left == right, name

@@ -112,7 +112,7 @@ def test_eval_multicoloured_input(tmp_path, capsys):
 def test_verification_failure_exits_two(capsys, monkeypatch):
     from skeinlab import coproduct
 
-    def failing(identity, entries, conventions=None, memo=None):
+    def failing(identity, entries, memo=None):
         report = coproduct.Report(identity)
         report.record("rigged", False, "witness")
         return report

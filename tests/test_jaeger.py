@@ -13,13 +13,13 @@ from skeinlab.diagrams import Event, Word, CUP, CAP
 from conftest import random_word
 
 
-def brute_force_labellings(word, n, cut_side="under_in"):
+def brute_force_labellings(word, n):
     ana = D.analyze(word)
     edges = J.edge_list(ana)
     out = []
     for vals in product(range(1, n + 1), repeat=len(edges)):
         f = dict(zip(edges, vals))
-        if J.is_admissible(ana, f, cut_side):
+        if J.is_admissible(ana, f):
             out.append(f)
     return out
 
@@ -112,12 +112,12 @@ def test_three_label_sum_unknot_value():
     want = (S.delta(1, 3) * S.a_power(2, 1, 3) * S.a_power(3, 1, 3)
             + S.a_power(1, -1, 3) * S.delta(2, 3) * S.a_power(3, 1, 3)
             + S.a_power(1, -1, 3) * S.a_power(2, -1, 3) * S.delta(3, 3))
-    assert J.state_sum_3(w) == want
+    assert J.state_sum(w, 3) == want
 
 
 def test_three_label_sum_is_coassociative(plane_corpus, shared_memo):
     for name, w in plane_corpus:
-        s3 = J.state_sum_3(w, shared_memo)
+        s3 = J.state_sum(w, 3, shared_memo)
         s2 = J.state_sum(w, 2, shared_memo)
         assert s3 == S.coproduct_slot(s2, 1), name
         assert s3 == S.coproduct_slot(s2, 2), name
@@ -146,5 +146,3 @@ def test_state_sum_rejects_bad_inputs():
                          Event(CUP, 1, ">", 2), Event(CAP, 1, "<")))
     with pytest.raises(J.StateSumError):
         J.state_sum(mixed)
-    with pytest.raises(J.StateSumError):
-        J.state_sum(T.parse_morse("cup 1 >\ncap 1 <"), variant="printed", n=3)
