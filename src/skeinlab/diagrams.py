@@ -133,25 +133,6 @@ def rotation_number(comp: Component, framing: str) -> int:
     raise DiagramError(f"unknown framing {framing!r}")
 
 
-class _UF:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent
-        while p.setdefault(x, x) != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-
 @dataclass
 class Crossing:
     """One crossing of the analyzed word, with edge ids per Jaeger role."""
@@ -166,7 +147,17 @@ class Crossing:
 
 @dataclass
 class Analysis:
-    """Full combinatorial scan of a valid word."""
+    """Full combinatorial scan of a valid word.
+
+    Slots are numbered in the order the scan creates them: the bottom
+    profile left to right, then per event the cup's left and right strand
+    or the crossing's above-left and above-right strand. `nxt` maps each
+    slot to the next one along the orientation, so it permutes the slots.
+    A component is a cycle of `nxt` and an edge is a run of a cycle
+    between two crossing passages; each is named by its least slot, so
+    components come in basepoint order and the state sum's edge order and
+    its trace follow this numbering.
+    """
     word: Word
     n_slots: int
     slot_orient: list
@@ -175,17 +166,16 @@ class Analysis:
     extrema: list          # (event_index, kind, tag, slot_left, slot_right)
     bottom: list
     top: list
-    nxt: dict              # slot -> (next slot, passage or None)
-    edge_uf: _UF = field(default_factory=_UF)
-    comp_uf: _UF = field(default_factory=_UF)
+    nxt: list              # slot -> (next slot, passage or None)
     components: list = field(default_factory=list)
-    slot_component: dict = field(default_factory=dict)
+    slot_component: list = field(default_factory=list)  # slot -> component index
+    slot_edge: list = field(default_factory=list)       # slot -> least slot of its edge
 
     def edge(self, slot: int) -> int:
-        return self.edge_uf.find(slot)
+        return self.slot_edge[slot]
 
     def component_of_slot(self, slot: int) -> Component:
-        return self.components[self.slot_component[self.comp_uf.find(slot)]]
+        return self.components[self.slot_component[slot]]
 
 
 def analyze(word: Word) -> Analysis:
@@ -203,13 +193,14 @@ def analyze(word: Word) -> Analysis:
         raise DiagramError("plane words must have an empty boundary profile")
 
     ana = Analysis(word=word, n_slots=0, slot_orient=[], slot_colour=[],
-                   crossings=[], extrema=[], bottom=[], top=[], nxt={})
+                   crossings=[], extrema=[], bottom=[], top=[], nxt=[])
 
     def new_slot(orient, colour):
         i = ana.n_slots
         ana.n_slots += 1
         ana.slot_orient.append(orient)
         ana.slot_colour.append(colour)
+        ana.nxt.append(None)
         return i
 
     strands = []
@@ -232,8 +223,6 @@ def analyze(word: Word) -> Analysis:
             r = new_slot(o_r, ev.colour)
             strands[ev.pos - 1:ev.pos - 1] = [l, r]
             ana.extrema.append((idx, CUP, ev.tag, l, r))
-            ana.edge_uf.union(l, r)
-            ana.comp_uf.union(l, r)
             if ev.tag == RIGHTMOVING:
                 ana.nxt[l] = (r, None)
             else:
@@ -256,8 +245,6 @@ def analyze(word: Word) -> Analysis:
                     f"cap colour mismatch: {ana.slot_colour[l]} vs {ana.slot_colour[r]}", idx)
             del strands[ev.pos - 1:ev.pos + 1]
             ana.extrema.append((idx, CAP, ev.tag, l, r))
-            ana.edge_uf.union(l, r)
-            ana.comp_uf.union(l, r)
             if ev.tag == RIGHTMOVING:
                 ana.nxt[l] = (r, None)
             else:
@@ -279,8 +266,6 @@ def analyze(word: Word) -> Analysis:
             sign = oriented_sign(o_l, o_r, ev.tag)
             ana.crossings.append(Crossing(idx, ev.tag, sign, (x, y, u, v),
                                           (o_l, o_r), (c_l, c_r)))
-            ana.comp_uf.union(x, v)
-            ana.comp_uf.union(y, u)
             if o_l == UP:
                 ana.nxt[x] = (v, (ci, 0))
             else:
@@ -303,12 +288,38 @@ def analyze(word: Word) -> Analysis:
             raise DiagramError(
                 f"final profile {got} does not match the gluing profile {word.profile}")
         for b, t in zip(ana.bottom, ana.top):
-            ana.edge_uf.union(b, t)
-            ana.comp_uf.union(b, t)
             if ana.slot_orient[b] == UP:
                 ana.nxt[t] = (b, None)
             else:
                 ana.nxt[b] = (t, None)
+
+    # Components and edges, each named by its least slot: ascending slots
+    # meet every cycle first at its least slot, and a cycle's runs are cut
+    # after each crossing passage, starting after the last one so that no
+    # run wraps around.
+    slot_component = ana.slot_component = [-1] * ana.n_slots
+    slot_edge = ana.slot_edge = [0] * ana.n_slots
+    basepoints = []
+    for start in range(ana.n_slots):
+        if slot_component[start] >= 0:
+            continue
+        cycle = []
+        s = start
+        while slot_component[s] < 0:
+            slot_component[s] = len(basepoints)
+            cycle.append(s)
+            s = ana.nxt[s][0]
+        basepoints.append(start)
+        k = max((i + 1 for i, s in enumerate(cycle) if ana.nxt[s][1] is not None),
+                default=0)
+        run = []
+        for s in cycle[k:] + cycle[:k]:
+            run.append(s)
+            if ana.nxt[s][1] is not None or len(run) == len(cycle):
+                least = min(run)
+                for r in run:
+                    slot_edge[r] = least
+                run = []
 
     # Jaeger edge roles at each crossing: a/c over in/out, b/d under in/out.
     for c in ana.crossings:
@@ -320,31 +331,26 @@ def analyze(word: Word) -> Analysis:
             a, cc, b, d = slash_in, slash_out, back_in, back_out
         else:
             a, cc, b, d = back_in, back_out, slash_in, slash_out
-        c.edges = tuple(ana.edge_uf.find(s) for s in (a, b, cc, d))
+        c.edges = (slot_edge[a], slot_edge[b], slot_edge[cc], slot_edge[d])
 
     # Components with rotation, writhe and winding bookkeeping.
-    turn: dict = {}
+    turn = [0] * len(basepoints)
     for idx, kind, tag, l, r in ana.extrema:
-        root = ana.comp_uf.find(l)
-        turn[root] = turn.get(root, 0) + _TURN[(kind, tag)]
-    selfw: dict = {}
+        turn[slot_component[l]] += _TURN[(kind, tag)]
+    selfw = [0] * len(basepoints)
     for c in ana.crossings:
         x, y, u, v = c.slots
-        if ana.comp_uf.find(x) == ana.comp_uf.find(y):
-            root = ana.comp_uf.find(x)
-            selfw[root] = selfw.get(root, 0) + c.sign
-    wind: dict = {}
+        if slot_component[x] == slot_component[y]:
+            selfw[slot_component[x]] += c.sign
+    wind = [0] * len(basepoints)
     for b in ana.bottom:
-        root = ana.comp_uf.find(b)
-        wind[root] = wind.get(root, 0) + (1 if ana.slot_orient[b] == UP else -1)
+        wind[slot_component[b]] += 1 if ana.slot_orient[b] == UP else -1
 
-    roots = sorted({ana.comp_uf.find(s) for s in range(ana.n_slots)})
-    for i, root in enumerate(roots):
-        ana.slot_component[root] = i
+    for i, root in enumerate(basepoints):
         ana.components.append(Component(
-            index=i, colour=ana.slot_colour[root],
-            turn_half=turn.get(root, 0), self_writhe=selfw.get(root, 0),
-            winding=wind.get(root, 0), surface=word.surface, basepoint=root))
+            index=i, colour=ana.slot_colour[root], turn_half=turn[i],
+            self_writhe=selfw[i], winding=wind[i], surface=word.surface,
+            basepoint=root))
     return ana
 
 
@@ -495,43 +501,39 @@ def normalize_crossings(word: Word, ana: Optional[Analysis] = None) -> Word:
     return out
 
 
+def _step(prof: list, e: Event) -> None:
+    """Apply one event of a valid word to a list of (orientation, colour)."""
+    if e.kind == CUP:
+        o_l, o_r = _CUP_PAIR[e.tag]
+        prof[e.pos - 1:e.pos - 1] = [(o_l, e.colour), (o_r, e.colour)]
+    elif e.kind == CAP:
+        del prof[e.pos - 1:e.pos + 1]
+    else:
+        prof[e.pos - 1], prof[e.pos] = prof[e.pos], prof[e.pos - 1]
+
+
 def subdiagram(word: Word, colours: Iterable) -> Word:
     """Delete every strand whose colour is not in the given set."""
     keep = set(colours)
-    ana = analyze(word)
-    strands = []
-    new_profile = []
-    for s in ana.bottom:
-        strands.append(s)
-        if ana.slot_colour[s] in keep:
-            new_profile.append((ana.slot_orient[s], ana.slot_colour[s]))
+    analyze(word)
+    prof = list(word.profile)
     events = []
-    slot_iter = len(ana.bottom)
 
     def kept_index(pos):
-        return sum(1 for s in strands[:pos - 1] if ana.slot_colour[s] in keep) + 1
+        return sum(1 for _, c in prof[:pos - 1] if c in keep) + 1
 
-    for idx, e in enumerate(word.events):
+    for e in word.events:
         if e.kind == CUP:
-            l, r = slot_iter, slot_iter + 1
-            slot_iter += 2
-            if ana.slot_colour[l] in keep:
+            if e.colour in keep:
                 events.append(Event(CUP, kept_index(e.pos), e.tag, e.colour))
-            strands[e.pos - 1:e.pos - 1] = [l, r]
         elif e.kind == CAP:
-            l = strands[e.pos - 1]
-            if ana.slot_colour[l] in keep:
+            if prof[e.pos - 1][1] in keep:
                 events.append(Event(CAP, kept_index(e.pos), e.tag))
-            del strands[e.pos - 1:e.pos + 1]
-        else:
-            x, y = strands[e.pos - 1], strands[e.pos]
-            cx, cy = ana.slot_colour[x], ana.slot_colour[y]
-            if cx in keep and cy in keep:
-                events.append(Event(XING, kept_index(e.pos), e.tag))
-            u, v = slot_iter, slot_iter + 1
-            slot_iter += 2
-            strands[e.pos - 1], strands[e.pos] = u, v
-    out = replace(word, profile=tuple(new_profile), events=tuple(events))
+        elif prof[e.pos - 1][1] in keep and prof[e.pos][1] in keep:
+            events.append(Event(XING, kept_index(e.pos), e.tag))
+        _step(prof, e)
+    new_profile = tuple(p for p in word.profile if p[1] in keep)
+    out = replace(word, profile=new_profile, events=tuple(events))
     analyze(out)
     return out
 
@@ -603,20 +605,12 @@ def thread_meridian(word: Word, colour: int = GREEN) -> Word:
 
 def profiles(word: Word) -> list:
     """Profiles before each event and after the last one."""
-    ana = analyze(word)
-    out = [tuple((ana.slot_orient[s], ana.slot_colour[s]) for s in ana.bottom)]
-    strands = list(ana.bottom)
-    slot_iter = len(ana.bottom)
+    analyze(word)
+    prof = list(word.profile)
+    out = [tuple(prof)]
     for e in word.events:
-        if e.kind == CUP:
-            strands[e.pos - 1:e.pos - 1] = [slot_iter, slot_iter + 1]
-            slot_iter += 2
-        elif e.kind == CAP:
-            del strands[e.pos - 1:e.pos + 1]
-        else:
-            strands[e.pos - 1], strands[e.pos] = slot_iter, slot_iter + 1
-            slot_iter += 2
-        out.append(tuple((ana.slot_orient[s], ana.slot_colour[s]) for s in strands))
+        _step(prof, e)
+        out.append(tuple(prof))
     return out
 
 

@@ -155,12 +155,11 @@ def _naive(word: Word, rng, carried, state) -> Scalar:
     if carried is None:
         order = list(range(len(ana.components)))
         rng.shuffle(order)
-        basepoints = {}
-        roots = {}
-        for s in range(ana.n_slots):
-            roots.setdefault(ana.comp_uf.find(s), []).append(s)
-        for comp in ana.components:
-            basepoints[comp.index] = rng.choice(roots[ana.comp_uf.find(comp.basepoint)])
+        members = [[] for _ in ana.components]
+        for s, ci in enumerate(ana.slot_component):
+            members[ci].append(s)
+        basepoints = {comp.index: rng.choice(members[comp.index])
+                      for comp in ana.components}
         carried = (order, basepoints)
     order, basepoints = carried
     seen = set()

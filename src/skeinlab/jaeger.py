@@ -36,7 +36,7 @@ class StateSumError(ValueError):
 
 
 def edge_list(ana) -> list:
-    return sorted({ana.edge(s) for s in range(ana.n_slots)})
+    return sorted(set(ana.slot_edge))
 
 
 def _pattern_possible(vals, n: int) -> bool:
@@ -60,16 +60,13 @@ def _pattern_possible(vals, n: int) -> bool:
     return False
 
 
-def enumerate_admissible(word: Word, n: int, ana=None,
-                         edge_order: Optional[list] = None) -> Iterator[dict]:
+def enumerate_admissible(word: Word, n: int, ana=None) -> Iterator[dict]:
     """Depth-first enumeration with per-crossing pruning.
 
-    Yields maps from edge root to label. Deterministic in sorted edge
-    order unless an explicit order is supplied; the result set does not
-    depend on the order.
+    Yields maps from edge id to label, in sorted edge order.
     """
     ana = ana or analyze(word)
-    edges = edge_order if edge_order is not None else edge_list(ana)
+    edges = edge_list(ana)
     incident: dict = {e: [] for e in edges}
     for x in ana.crossings:
         for e in set(x.edges):
@@ -134,16 +131,13 @@ def smoothed_coloured(word: Word, labelling: dict, ana=None) -> Word:
     for i in cutting_vertices(ana, labelling):
         x = ana.crossings[i]
         cut_events[x.event_index] = x
-    slot_iter = len(ana.bottom)
+    cup_slot = {idx: l for idx, kind, _, l, _ in ana.extrema if kind == CUP}
     events = []
     for idx, e in enumerate(word.events):
         if e.kind == CUP:
-            lab = labelling[ana.edge(slot_iter)]
-            slot_iter += 2
+            lab = labelling[ana.edge(cup_slot[idx])]
             events.append(Event(CUP, e.pos, e.tag, lab))
         elif e.kind == XING:
-            above_left = slot_iter
-            slot_iter += 2
             x = cut_events.get(idx)
             if x is None:
                 events.append(e)
@@ -153,7 +147,7 @@ def smoothed_coloured(word: Word, labelling: dict, ana=None) -> Word:
                     pass
                 else:
                     tag = diagrams.RIGHTMOVING if (o_l, o_r) == (UP, DOWN) else diagrams.LEFTMOVING
-                    cup_lab = labelling[ana.edge(above_left)]
+                    cup_lab = labelling[ana.edge(x.slots[2])]
                     events.append(Event(diagrams.CAP, e.pos, tag))
                     events.append(Event(CUP, e.pos, tag, cup_lab))
         else:

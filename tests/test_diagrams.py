@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from skeinlab import corpus
 from skeinlab import diagrams as D
 from skeinlab import textio as T
 from skeinlab.diagrams import (ANNULUS, BLACKBOARD, CAP, CUP, Event, GREEN,
-                               RADIAL, RED, Word, XING)
+                               OVER_LEFT, RADIAL, RED, UP, Word)
 
-from conftest import random_word
+from conftest import random_braid_closure, random_word
 
 
 def ccw_unknot():
@@ -95,14 +96,12 @@ def test_subdiagram_keeps_unmixed_crossings():
         ana = D.analyze(w)
         comp_colour = {c.index: GREEN if c.index % 2 == 0 else RED
                        for c in ana.components}
+        cup_comp = {idx: ana.component_of_slot(l).index
+                    for idx, kind, _, l, _ in ana.extrema if kind == CUP}
         events = []
-        k = 0
         for idx, e in enumerate(w.events):
             if e.kind == CUP:
-                slot = len(ana.bottom) + 2 * sum(
-                    1 for f in w.events[:idx] if f.kind in (CUP, XING))
-                comp = ana.component_of_slot(slot).index
-                events.append(Event(CUP, e.pos, e.tag, comp_colour[comp]))
+                events.append(Event(CUP, e.pos, e.tag, comp_colour[cup_comp[idx]]))
             else:
                 events.append(e)
         cw = Word(events=tuple(events))
@@ -184,3 +183,54 @@ def test_word_key_separates_words():
     u = ccw_unknot()
     assert D.word_key(u) != D.word_key(D.mirror(T.desugar_braid(2, [1], True)))
     assert D.word_key(u) == D.word_key(Word(events=u.events))
+
+
+def _least_slot_union(ana, links) -> list:
+    """Per slot, the least slot joined to it by the links."""
+    parent = list(range(ana.n_slots))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(s) for s in range(ana.n_slots)]
+
+
+def test_components_and_edges_match_a_union_over_links():
+    rng = random.Random(26)
+    words = [w for _, w in corpus.load_builtin()]
+    words += [random_word(rng) for _ in range(40)]
+    words += [random_braid_closure(rng) for _ in range(20)]
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        gens = [rng.choice([g for g in range(-(n - 1), n) if g])
+                for _ in range(rng.randint(0, 6) if n > 1 else 0)]
+        open_w = T.desugar_braid(n, gens, False)
+        words += [open_w, Word(ANNULUS, RADIAL, open_w.profile, open_w.events)]
+    assert any(w.surface == ANNULUS for w in words)
+    for w in words:
+        ana = D.analyze(w)
+        assert sorted(s for s, _ in ana.nxt) == list(range(ana.n_slots))
+        arcs = [(l, r) for _, _, _, l, r in ana.extrema]
+        arcs += list(zip(ana.bottom, ana.top))
+        passes = [pair for c in ana.crossings
+                  for pair in ((c.slots[0], c.slots[3]), (c.slots[1], c.slots[2]))]
+        edges = _least_slot_union(ana, arcs)
+        comps = _least_slot_union(ana, arcs + passes)
+
+        assert [ana.edge(s) for s in range(ana.n_slots)] == edges
+        assert [c.basepoint for c in ana.components] == sorted(set(comps))
+        assert [c.index for c in ana.components] == list(range(len(ana.components)))
+        assert [ana.component_of_slot(s).basepoint
+                for s in range(ana.n_slots)] == comps
+        for c in ana.crossings:
+            x, y, u, v = c.slots
+            slash = (x, v) if c.orients[0] == UP else (v, x)
+            back = (y, u) if c.orients[1] == UP else (u, y)
+            over, under = (slash, back) if c.tag == OVER_LEFT else (back, slash)
+            assert c.edges == (edges[over[0]], edges[under[0]],
+                               edges[over[1]], edges[under[1]])

@@ -49,20 +49,6 @@ def test_single_label_always_unique():
         assert len(list(J.enumerate_admissible(w, 1))) == 1
 
 
-def test_enumeration_order_independent():
-    rng = random.Random(53)
-    w = T.desugar_braid(3, [1, -2, 1, -2], True)
-    ana = D.analyze(w)
-    edges = J.edge_list(ana)
-    base = sorted(map(sorted, (g.items() for g in J.enumerate_admissible(w, 2, ana))))
-    for _ in range(4):
-        shuffled = edges[:]
-        rng.shuffle(shuffled)
-        got = sorted(map(sorted, (g.items()
-                     for g in J.enumerate_admissible(w, 2, ana, shuffled))))
-        assert got == base
-
-
 def test_interaction_values():
     kink = T.desugar_braid(2, [1], True)
     labellings = list(J.enumerate_admissible(kink, 2))
