@@ -31,8 +31,17 @@ from .diagrams import (CUP, DOWN, Event, PLANE, UP, Word, XING, analyze,
 from .scalars import Scalar
 
 
+DEFAULT_BUDGET = 10_000
+
+
 class StateSumError(ValueError):
     pass
+
+
+def _over_budget(word: Word, budget: int) -> StateSumError:
+    return StateSumError(
+        f"jaeger.state_sum exceeded its budget of {budget} labellings; "
+        f"offending word: {diagrams.word_key(word).decode()}")
 
 
 def edge_list(ana) -> list:
@@ -165,22 +174,33 @@ def _rotation_correction(rots: list, n: int) -> Scalar:
 
 
 def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
-              trace: Optional[Callable[[str], None]] = None) -> Scalar:
+              trace: Optional[Callable[[str], None]] = None,
+              budget: int = DEFAULT_BUDGET) -> Scalar:
     """The n-label composition sum of a closed one-colour plane diagram.
 
     Each admissible labelling contributes its interaction, the rotation
     correction of the smoothed subdiagrams, and the product of their
     one-colour invariants, one tensor slot per label.
+
+    At most `budget` labellings are admitted (default 10,000; no call in
+    the test suite admits more than 210, none in the benchmark more
+    than 30).
+    Colouring each component in one label is always admissible, so a
+    diagram with n^(components) > budget is refused before enumerating.
     """
     if word.surface != PLANE:
         raise StateSumError("the scalar state sum needs a closed plane diagram")
     ana = analyze(word)
     if len({c.colour for c in ana.components}) > 1:
         raise StateSumError("state sum input must be single-coloured")
+    if n ** len(ana.components) > budget:
+        raise _over_budget(word, budget)
     if memo is None:
         memo = {}
     total = Scalar.zero(n)
-    for f in enumerate_admissible(word, n, ana):
+    for count, f in enumerate(enumerate_admissible(word, n, ana), start=1):
+        if count > budget:
+            raise _over_budget(word, budget)
         smoothed = smoothed_coloured(word, f, ana)
         coeff = interaction(word, f, n, ana)
         rots = []

@@ -86,8 +86,7 @@ def _divide_once(terms: dict, arity: int):
 class Scalar:
     """An element num / (q - q^-1)^den_pow of the arity-n ring, canonical.
 
-    Instances are immutable and hashable; all arithmetic returns fresh
-    values, so Scalars can be shared freely across threads.
+    Instances are immutable and hashable.
     """
 
     __slots__ = ("arity", "den_pow", "terms", "_hash")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinlab import cli
+from skeinlab import cli, jaeger
 
 REGRESSIONS = Path(__file__).parent / "regressions"
 
@@ -140,3 +140,30 @@ def test_deep_unlink_answers_or_diagnoses(capsys):
     assert data["arity"] == 1 and data["den_pow"] == 600
     elapsed = time.perf_counter() - t0
     assert elapsed < 3.0  # about 0.4 s on a 2-vCPU machine
+
+
+def test_verify_multistrand_annulus_regression(capsys):
+    # a plane unknot, a radial `braid 2: 1` and a blackboard `braid 3: 1 2`
+    # annulus word: 3P + P^2 + 2F + 2 checks with P = 1 and F = 2 framings;
+    # `mult` once took 15 s or more on the radial entry alone
+    t0 = time.perf_counter()
+    rc = cli.main(["verify", "all", "--corpus",
+                   str(REGRESSIONS / "annulus-multistrand")])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[-1] == "ok: 10 checks, 0 failures"
+    assert elapsed < 5.0  # about 0.05 s on a 2-vCPU machine
+
+
+def test_jaeger_budget_on_deep_unlink(capsys):
+    # 600 split circles admit at least 2^600 labellings: refused up front
+    t0 = time.perf_counter()
+    rc = cli.main(["jaeger", str(REGRESSIONS / "unlink-600-ccw.mw")])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith("skeinlab: error: jaeger.state_sum exceeded its "
+                          f"budget of {jaeger.DEFAULT_BUDGET} labellings")
+    assert elapsed < 3.0  # about 0.02 s on a 2-vCPU machine

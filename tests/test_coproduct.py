@@ -1,5 +1,6 @@
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -343,3 +344,38 @@ def test_verify_reports():
     assert report.ok and "pass" in report.text()
     with pytest.raises(C.CoproductError):
         C.verify("nonsense", words)
+
+
+def _seeded_annulus_words(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        gens = [rng.choice([g for g in range(-(n - 1), n) if g])
+                for _ in range(rng.randint(0, 4))] if n > 1 else []
+        w = T.desugar_braid(n, gens, False)
+        for framing in (RADIAL, BLACKBOARD):
+            yield replace(w, framing=framing)
+
+
+def test_annulus_power_coproduct_is_the_product_term_by_term():
+    # stacking concatenates profiles and the box walk is local, so the walk
+    # on w^k splits into k walks on w: `verify mult` rarely needs the family
+    for w in _seeded_annulus_words(67, 10):
+        base = C.coproduct_diagram(w)
+        prod = base
+        for k in (2, 3):
+            prod = prod * base
+            assert C.coproduct_diagram(D.power(w, k)) == prod, (w, k)
+
+
+def test_same_annulus_element_falls_back_to_the_eval_family():
+    memo = {}
+    w = T.desugar_braid(2, [1], False)
+    element = C.coproduct_diagram(w)
+    r2 = C.coproduct_diagram(D.insert_r2(w, 0, 1))
+    zigzag = C.coproduct_diagram(D.insert_zigzag(w, 1, 2))
+    for other in (r2, zigzag):
+        assert other != element
+        assert C._same_annulus_element(element, other, memo)
+    assert C._same_annulus_element(element, element, memo)
+    assert not C._same_annulus_element(element, element + element, memo)
