@@ -167,3 +167,23 @@ def test_jaeger_budget_on_deep_unlink(capsys):
     assert err.startswith("skeinlab: error: jaeger.state_sum exceeded its "
                           f"budget of {jaeger.DEFAULT_BUDGET} labellings")
     assert elapsed < 3.0  # about 0.02 s on a 2-vCPU machine
+
+
+def test_verify_coassoc_budget_on_nine_circle_unlink(tmp_path, capsys):
+    # 3^9 single-label colourings exceed the state-sum budget at n = 3, so
+    # `verify coassoc` refuses the unlink; `verify jaeger` (2^9) answers it
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "unlink-9.mw").write_text(
+        "surface plane\n" + "cup 1 >\ncap 1 <\n" * 9, encoding="utf-8")
+    t0 = time.perf_counter()
+    rc = cli.main(["verify", "coassoc", "--corpus", str(corpus)])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("skeinlab: error: jaeger.state_sum exceeded "
+                                   f"its budget of {jaeger.DEFAULT_BUDGET} labellings")
+    assert elapsed < 1.0  # refused before enumerating
+    assert cli.main(["verify", "jaeger", "--corpus", str(corpus)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok: 1 checks, 0 failures"

@@ -137,11 +137,14 @@ def test_state_sum_rejects_bad_inputs():
 def test_state_sum_budget(monkeypatch):
     hopf = T.desugar_braid(2, [1, 1], True)  # two components, 5 labellings
     want = J.state_sum(hopf, 2)
-    assert J.state_sum(hopf, 2, budget=5) == want
+    monkeypatch.setattr(J, "DEFAULT_BUDGET", 5)
+    assert J.state_sum(hopf, 2) == want
+    monkeypatch.setattr(J, "DEFAULT_BUDGET", 4)
     with pytest.raises(J.StateSumError, match="budget of 4 labellings"):
-        J.state_sum(hopf, 2, budget=4)
+        J.state_sum(hopf, 2)
     # 2^3 single-label colourings exceed 7: refused before enumerating
     circles = T.parse_morse("cup 1 >\ncap 1 <\ncup 1 >\ncap 1 <\ncup 1 >\ncap 1 <")
+    monkeypatch.setattr(J, "DEFAULT_BUDGET", 7)
     monkeypatch.setattr(J, "enumerate_admissible", None)
     with pytest.raises(J.StateSumError, match="^jaeger.state_sum exceeded"):
-        J.state_sum(circles, 2, budget=7)
+        J.state_sum(circles, 2)
