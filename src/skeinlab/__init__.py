@@ -10,14 +10,14 @@ from .scalars import (ArityError, CounitUndefinedError, Scalar, SpecializeError,
                       monomial, pretty, q_minus_qinv, q_power, scalar_coproduct,
                       scalar_counit, specialize, tensor_embed)
 from .diagrams import (ANNULUS, BLACKBOARD, Component, DiagramError, Event,
-                       GREEN, ORANGE, PLANE, RADIAL, RED, VIOLET, Word,
+                       GREEN, PLANE, RADIAL, RED, VIOLET, Word,
                        analyze, combine, mirror, planar_closure, power,
                        reverse, rotation_number, subdiagram, thread_meridian,
                        trace_components, validate, writhe)
 from .textio import (DiagnosticError, GrammarError, LexicalError, SemanticError,
                      desugar_braid, parse_morse, render, render_morse)
 from .engine import (BudgetError, EvalError, eval_multi_colour, eval_one_colour,
-                     eval_orange, naive_eval, orange_resolutions)
+                     naive_eval)
 from .jaeger import StateSumError, enumerate_admissible, interaction, state_sum
 from .coproduct import (CoproductElement, CoproductError, annulus_eval_family,
                         apply_counit, coproduct_diagram, coproduct_iterated,

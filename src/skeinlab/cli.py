@@ -8,6 +8,7 @@ stdin). Exit codes: 0 success, 1 input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -122,7 +123,11 @@ def cmd_verify(args, _word=None) -> int:
     return 0 if failures == 0 else 2
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, and argparse looks up sys.stdout and sys.stderr only when
+    it prints."""
     parser = argparse.ArgumentParser(
         prog="skeinlab",
         description="Exact framed skein evaluation, composition state sums "

@@ -38,7 +38,6 @@ LEFTMOVING = "<"
 OVER_LEFT = "o"
 OVER_RIGHT = "u"
 
-ORANGE = 0
 GREEN = 1
 RED = 2
 VIOLET = 3
@@ -89,6 +88,15 @@ def word_key(word: Word) -> bytes:
             ",".join(f"{o}{c}" for o, c in word.profile)]
     bits += [f"{e.kind}.{e.pos}.{e.tag}.{e.colour}" for e in word.events]
     return "|".join(bits).encode()
+
+
+def describe_word(word: Word) -> str:
+    """A short name for a word in diagnostics: its surface, its event
+    count and the first 60 bytes of its key."""
+    key = word_key(word).decode()
+    if len(key) > 60:
+        key = key[:60] + "…"
+    return f"{word.surface} word of {len(word.events)} events, {key}"
 
 
 def oriented_sign(o_left: str, o_right: str, tag: str) -> int:

@@ -16,22 +16,30 @@ dropped, and pairs that become adjacent cancel in turn. Flipping the
 first bad crossing of the closure of s1^n leaves such a pair with its
 neighbour, so T(2,n) resolves through n+2 words instead of O(n^2).
 
-Memoization is keyed on the exact serialized bytes of the reduced word.
-The randomized oracle `naive_eval` does no reduction,
-so it stays an independent check on the memoized path.
+Every relation above is polynomial in q, a = q^t and d, so the resolver's
+values live in Z[q^+-1, a^+-1, d]: a dict {(e_q, e_a, k): c} standing for
+the sum of c * q^e_q * a^e_a * d^k. A step is `flipped + sign * (q - q^-1)
+* smoothed` on those dicts; no division happens until `eval_one_colour`
+converts the root once to the canonical Scalar
+(`scalars.from_loop_polynomial`, where d = (a - a^-1) / (q - q^-1)).
+
+Memoization is keyed on the exact serialized bytes of the reduced word;
+each memo value is a pair [polynomial, Scalar or None], the second slot
+caching the conversion for words that were evaluated as roots.
+The randomized oracle `naive_eval` does no reduction and computes in
+Scalar arithmetic throughout, so it stays an independent check on both
+the memoized path and its polynomial arithmetic.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import product as iproduct
 from typing import Optional
 
 from . import diagrams
-from .diagrams import (GREEN, ORANGE, OVER_LEFT, PLANE, RED, XING, Word,
-                       analyze, flip_crossing, smooth_crossing, subdiagram,
-                       word_key)
+from .diagrams import (OVER_LEFT, PLANE, XING, Word, analyze, flip_crossing,
+                       smooth_crossing, subdiagram, word_key)
 from . import scalars
 from .scalars import Scalar
 
@@ -44,7 +52,7 @@ class BudgetError(RuntimeError):
         self.budget = budget
         super().__init__(
             f"skein resolution exceeded its budget of {budget} nodes; "
-            f"offending word: {word_key(word).decode()}")
+            f"offending word: {diagrams.describe_word(word)}")
 
 
 class EvalError(ValueError):
@@ -104,33 +112,50 @@ def eval_one_colour(word: Word, memo: Optional[dict] = None,
     _require_closed_plane(word)
     if memo is None:
         memo = {}
-    state = [budget]
-    return _resolve(reduce_r2(word), memo, state)
+    state = [budget, budget]  # nodes left, limit
+    entry = _resolve(reduce_r2(word), memo, state)
+    if entry[1] is None:
+        entry[1] = scalars.from_loop_polynomial(entry[0])
+    return entry[1]
 
 
-def _resolve(word: Word, memo: dict, state: list) -> Scalar:
-    """Value of an R2-reduced word; reduces each child before recursing."""
+def _step(flipped: dict, smoothed: dict, sign: int) -> dict:
+    """flipped + sign * (q - q^-1) * smoothed on {(e_q, e_a, k): c} dicts."""
+    out = dict(flipped)
+    for (eq, ea, k), c in smoothed.items():
+        c *= sign
+        for key, v in (((eq + 1, ea, k), c), ((eq - 1, ea, k), -c)):
+            v += out.get(key, 0)
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
+
+
+def _resolve(word: Word, memo: dict, state: list) -> list:
+    """Memo entry [polynomial, Scalar or None] of an R2-reduced word;
+    reduces each child before recursing."""
     key = word_key(word)
     hit = memo.get(key)
     if hit is not None:
         return hit
     state[0] -= 1
     if state[0] < 0:
-        raise BudgetError(word, state[0] + 1)
+        raise BudgetError(word, state[1])
     ana = analyze(word)
     bad = _first_bad(ana)
     if bad is None:
-        val = _base_value(ana)
+        sw = sum(c.self_writhe for c in ana.components)
+        poly = {(0, sw, len(ana.components)): 1}
     else:
         cross = ana.crossings[bad]
         flipped = _resolve(reduce_r2(flip_crossing(word, cross.event_index)),
                            memo, state)
         smoothed = _resolve(reduce_r2(smooth_crossing(word, cross.event_index, ana)),
                             memo, state)
-        s = scalars.q_minus_qinv(1)
-        val = flipped + cross.sign * (s * smoothed)
-    memo.setdefault(key, val)
-    return val
+        poly = _step(flipped[0], smoothed[0], cross.sign)
+    return memo.setdefault(key, [poly, None])
 
 
 def naive_eval(word: Word, rng: Optional[random.Random] = None,
@@ -143,14 +168,14 @@ def naive_eval(word: Word, rng: Optional[random.Random] = None,
     """
     _require_closed_plane(word)
     rng = rng or random.Random(0)
-    state = [budget]
+    state = [budget, budget]  # nodes left, limit
     return _naive(word, rng, None, state)
 
 
 def _naive(word: Word, rng, carried, state) -> Scalar:
     state[0] -= 1
     if state[0] < 0:
-        raise BudgetError(word, state[0] + 1)
+        raise BudgetError(word, state[1])
     ana = analyze(word)
     if carried is None:
         order = list(range(len(ana.components)))
@@ -185,15 +210,12 @@ def eval_multi_colour(word: Word, n: int, memo: Optional[dict] = None,
     """Product over colours of the one-colour values of the subdiagrams.
 
     Mixed crossings are transparent, so the colours decouple exactly.
-    Orange strands must have been resolved first.
     """
     _require_closed_plane(word)
     if memo is None:
         memo = {}
     ana = analyze(word)
     colours = {c.colour for c in ana.components}
-    if ORANGE in colours:
-        raise EvalError("orange strands must be resolved before evaluation")
     if not colours <= set(range(1, n + 1)):
         raise EvalError(f"colours {sorted(colours)} do not fit in 1..{n}")
     out = Scalar.one(n)
@@ -201,42 +223,3 @@ def eval_multi_colour(word: Word, n: int, memo: Optional[dict] = None,
         part = eval_one_colour(subdiagram(word, {c}), memo, budget)
         out = out * scalars.tensor_embed(part, c, n)
     return out
-
-
-def orange_resolutions(word: Word) -> list:
-    """Expand each closed orange component into its green and red copies."""
-    ana = analyze(word)
-    orange = [c.index for c in ana.components if c.colour == ORANGE]
-    comp_of_cup = {}
-    for idx, kind, tag, l, r in ana.extrema:
-        if kind == diagrams.CUP:
-            comp_of_cup[idx] = ana.component_of_slot(l).index
-    comp_of_profile = [ana.component_of_slot(s).index for s in ana.bottom]
-    out = []
-    for pick in iproduct((GREEN, RED), repeat=len(orange)):
-        chosen = dict(zip(orange, pick))
-
-        def colour_for(comp_index, old):
-            return chosen.get(comp_index, old)
-
-        events = []
-        for idx, e in enumerate(word.events):
-            if e.kind == diagrams.CUP:
-                comp = comp_of_cup[idx]
-                events.append(diagrams.Event(e.kind, e.pos, e.tag,
-                                             colour_for(comp, e.colour)))
-            else:
-                events.append(e)
-        profile = tuple(
-            (o, colour_for(comp_of_profile[k], c))
-            for k, (o, c) in enumerate(word.profile))
-        out.append(Word(word.surface, word.framing, profile, tuple(events)))
-    return out
-
-
-def eval_orange(word: Word, n: int = 2, memo: Optional[dict] = None,
-                budget: int = DEFAULT_BUDGET) -> Scalar:
-    total = Scalar.zero(n)
-    for resolved in orange_resolutions(word):
-        total = total + eval_multi_colour(resolved, n, memo, budget)
-    return total

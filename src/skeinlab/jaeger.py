@@ -41,7 +41,7 @@ class StateSumError(ValueError):
 def _over_budget(word: Word, budget: int) -> StateSumError:
     return StateSumError(
         f"jaeger.state_sum exceeded its budget of {budget} labellings; "
-        f"offending word: {diagrams.word_key(word).decode()}")
+        f"offending word: {diagrams.describe_word(word)}")
 
 
 def edge_list(ana) -> list:

@@ -256,6 +256,35 @@ def delta(slot: int, arity: int) -> Scalar:
     return Scalar(arity, terms, 1, _canonical=True)
 
 
+@lru_cache(maxsize=None)
+def _delta_num_terms(k: int) -> dict:
+    """Terms of (a - a^-1)^k at arity 1; shared, so never mutated."""
+    return {(0, k - 2 * j): (-1) ** j * comb(k, j) for j in range(k + 1)}
+
+
+def from_loop_polynomial(poly: Mapping) -> Scalar:
+    """The arity-1 element sum of c * q^e_q * a^e_a * d^k over the entries
+    {(e_q, e_a, k): c} of poly, with d = (a - a^-1) / (q - q^-1).
+
+    Over (q - q^-1)^top, for the top power of d present, the part of
+    d-degree k contributes (a - a^-1)^k * (q - q^-1)^(top - k); the
+    constructor then divides out what it can.
+    """
+    if not poly:
+        return Scalar.zero(1)
+    parts: dict = {}
+    for (eq, ea, k), c in poly.items():
+        parts.setdefault(k, {})[(eq, ea)] = c
+    top = max(parts)
+    num: dict = {}
+    for k, part in parts.items():
+        lifted = _mul_terms(_mul_terms(part, _delta_num_terms(k)),
+                            _s_power_terms(top - k, 1))
+        for e, c in lifted.items():
+            num[e] = num.get(e, 0) + c
+    return Scalar(1, num, top)
+
+
 # -- structure maps ------------------------------------------------------
 
 

@@ -167,6 +167,7 @@ def test_jaeger_budget_on_deep_unlink(capsys):
     assert err.startswith("skeinlab: error: jaeger.state_sum exceeded its "
                           f"budget of {jaeger.DEFAULT_BUDGET} labellings")
     assert elapsed < 3.0  # about 0.02 s on a 2-vCPU machine
+    assert len(err.encode()) < 300 and "1200 events" in err
 
 
 def test_verify_coassoc_budget_on_nine_circle_unlink(tmp_path, capsys):

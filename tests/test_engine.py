@@ -7,7 +7,7 @@ from skeinlab import diagrams as D
 from skeinlab import engine as E
 from skeinlab import scalars as S
 from skeinlab import textio as T
-from skeinlab.diagrams import Event, Word, CUP, CAP, GREEN, ORANGE, RED, XING
+from skeinlab.diagrams import Event, Word, CUP, CAP, GREEN, RED, XING
 
 from conftest import random_braid_closure, random_word
 
@@ -185,6 +185,16 @@ def test_budget_error():
     with pytest.raises(E.BudgetError) as err:
         E.eval_one_colour(tre, budget=2)
     assert err.value.word is not None
+    # the message names the limit and a short form of the (kept) full word
+    long_torus = T.desugar_braid(2, [1] * 300, True)
+    for evaluate in (E.eval_one_colour, E.naive_eval):
+        with pytest.raises(E.BudgetError) as err:
+            evaluate(long_torus, budget=3)
+        text = str(err.value)
+        assert err.value.budget == 3 and "budget of 3 nodes" in text
+        assert len(err.value.word.events) > 100
+        assert f"{len(err.value.word.events)} events" in text
+        assert text.endswith("…") and len(text.encode()) < 300
 
 
 def test_rejects_annulus_words():
@@ -218,6 +228,9 @@ def test_multi_colour_separation():
     assert E.eval_multi_colour(both, 2) == S.delta(1, 2) * S.delta(2, 2)
     two_green = D.combine(green, green)
     assert E.eval_multi_colour(two_green, 2) == S.delta(1, 2) ** 2
+    colour_zero = Word(events=(Event(CUP, 1, ">", 0), Event(CAP, 1, "<")))
+    with pytest.raises(E.EvalError):
+        E.eval_multi_colour(colour_zero, 2)
 
 
 def test_mixed_crossings_are_transparent():
@@ -231,18 +244,72 @@ def test_mixed_crossings_are_transparent():
     assert E.eval_multi_colour(w, 2) == S.delta(1, 2) * S.delta(2, 2)
 
 
-def test_orange_resolution():
-    circle = Word(events=(Event(CUP, 1, ">", ORANGE), Event(CAP, 1, "<")))
-    parts = E.orange_resolutions(circle)
-    assert len(parts) == 2
-    assert E.eval_orange(circle) == S.delta(1, 2) + S.delta(2, 2)
-    kinked = Word(events=(
-        Event(CUP, 1, ">", ORANGE), Event(CUP, 2, ">", ORANGE),
-        Event(XING, 3, "o"), Event(CAP, 2, "<"), Event(CAP, 1, "<")))
-    want = (S.a_power(1, 1, 2) * S.delta(1, 2)
-            + S.a_power(2, 1, 2) * S.delta(2, 2))
-    assert E.eval_orange(kinked) == want
-    two = D.combine(circle, circle)
-    assert len(E.orange_resolutions(two)) == 4
-    with pytest.raises(E.EvalError):
-        E.eval_multi_colour(circle, 2)
+def _closures_of_three_or_more_components(rng, count):
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 5)
+        gens = [rng.choice([g for g in range(1 - n, n) if g])
+                for _ in range(rng.randint(1, 8))]
+        w = T.desugar_braid(n, gens, True)
+        if len(D.analyze(w).components) >= 3:
+            out.append(w)
+    return out
+
+
+def test_polynomial_resolver_matches_naive_across_loop_degrees():
+    # leaves of different d-degree meet in one root polynomial, and their
+    # terms can cancel only after the conversion to the canonical Scalar
+    rng = random.Random(50)
+    words = _closures_of_three_or_more_components(rng, 30)
+    circle = T.parse_morse("cup 1 >\ncap 1 <")
+    clockwise = T.parse_morse("cup 1 <\ncap 1 >")
+    for knot in (T.desugar_braid(2, [1, 1, 1], True),
+                 T.desugar_braid(3, [1, -2, 1, -2], True),
+                 T.desugar_braid(3, [1, 2, 2, -1, 2], True)):
+        for unknots in range(2, 5):
+            union = knot
+            for _ in range(unknots):
+                loop = rng.choice((circle, clockwise))
+                union = D.combine(union, loop) if rng.random() < 0.5 \
+                    else D.combine(loop, union)
+            words.append(union)
+    for w in words:
+        assert E.eval_one_colour(w) == E.naive_eval(w, rng), D.word_key(w)
+
+
+def test_root_conversion_of_loop_monomials():
+    for k in range(9):
+        for j in (-2, 0, 3):
+            want = S.monomial(1, 1, a=[j]) * S.delta(1, 1) ** k
+            assert S.from_loop_polynomial({(0, j, k): 1}) == want
+    assert S.from_loop_polynomial({}) == S.Scalar.zero(1)
+    # (q - q^-1) * d - (a - a^-1) cancels across d-degrees
+    assert S.from_loop_polynomial({(1, 0, 1): 1, (-1, 0, 1): -1,
+                                   (0, 1, 0): -1, (0, -1, 0): 1}).is_zero()
+
+
+def test_root_value_is_cached_in_the_memo():
+    w = T.desugar_braid(3, [1, 1, -2, 1, 2, 2], True)
+    memo = {}
+    first = E.eval_one_colour(w, memo)
+    size = len(memo)
+    second = E.eval_one_colour(w, memo)
+    assert second == first == E.eval_one_colour(w) and second is first
+    assert len(memo) == size
+
+
+def test_resolver_does_no_per_node_scalar_work(monkeypatch):
+    # a machine-independent guard: a resolver doing Scalar products or sums
+    # at each node makes the count grow with n
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(self, other, fn=getattr(S.Scalar, name)):
+            calls.append(fn)
+            return fn(self, other)
+        monkeypatch.setattr(S.Scalar, name, counted)
+    counts = {}
+    for n in (36, 72):
+        calls.clear()
+        E.eval_one_colour(T.desugar_braid(2, [1] * n, True), {})
+        counts[n] = len(calls)
+    assert counts[36] == counts[72] <= 2
