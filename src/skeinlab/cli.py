@@ -22,18 +22,8 @@ class CliError(ValueError):
     pass
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as err:
-        raise CliError(f"cannot read {path}: {err}") from None
-
-
 def _load_word(path: str, framing_flag) -> Word:
-    text = _read_input(path)
+    text = corpus.read_text(path)
     word = textio.parse_morse(text)
     if word.surface == ANNULUS:
         declared = textio.framing_declared(text)
@@ -101,12 +91,6 @@ def cmd_iterate(args, word: Word) -> int:
     return 0
 
 
-def cmd_specialize(args, word: Word) -> int:
-    value = engine.eval_one_colour(word)
-    _emit(scalars.specialize(value, _parse_t_values(args.t)), args.format)
-    return 0
-
-
 def cmd_verify(args, _word=None) -> int:
     if args.corpus == "builtin":
         entries = corpus.load_builtin()
@@ -168,13 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("specialize", help="evaluate and set q^t = q^N")
     common(p)
     p.add_argument("--t", required=True, metavar="N[,N...]")
-    p.set_defaults(func=cmd_specialize)
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run identity suites over a corpus")
     p.add_argument("identity", choices=IDENTITIES + ("all",))
     p.add_argument("--corpus", default="builtin",
                    help="builtin, a .mw file, or a directory of them")
-    p.add_argument("--format", choices=("pretty", "json"), default="pretty")
     p.add_argument("--deterministic", action="store_true",
                    help="accepted for compatibility; the suites always run "
                         "one after another")
@@ -195,9 +178,9 @@ def main(argv=None) -> int:
         print(f"skeinlab: error: {args.command} exceeded the interpreter's "
               f"recursion limit{size}", file=sys.stderr)
         return 1
-    except (CliError, textio.DiagnosticError, diagrams.DiagramError,
-            engine.EvalError, engine.BudgetError, jaeger.StateSumError,
-            coproduct.CoproductError, scalars.ArityError,
+    except (CliError, corpus.CorpusError, textio.DiagnosticError,
+            diagrams.DiagramError, engine.EvalError, engine.BudgetError,
+            jaeger.StateSumError, coproduct.CoproductError, scalars.ArityError,
             scalars.SpecializeError, scalars.CounitUndefinedError) as err:
         print(f"skeinlab: error: {err}", file=sys.stderr)
         return 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 
 from . import textio
 from .diagrams import Word
@@ -24,23 +25,44 @@ BUILTIN_SOURCES = {
 }
 
 
+class CorpusError(ValueError):
+    """A diagram file that cannot be read, or a corpus file that does not
+    parse; the message names the file."""
+
+
+def read_text(path: str) -> str:
+    """The text of a diagram file, or of stdin for "-"."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise CorpusError(f"cannot read {path}: {err}") from None
+
+
 def load_builtin() -> list:
     return [(name, textio.parse_morse(src)) for name, src in BUILTIN_SOURCES.items()]
 
 
+def _load_file(path: str) -> Word:
+    text = read_text(path)
+    try:
+        return textio.parse_morse(text)
+    except textio.DiagnosticError as err:
+        raise CorpusError(f"{path}: {err}") from None
+
+
 def load_path(path: str) -> list:
     """A corpus from a single .mw file or a directory of them."""
-    entries = []
-    if os.path.isdir(path):
-        for fn in sorted(os.listdir(path)):
-            if fn.endswith(".mw"):
-                with open(os.path.join(path, fn), encoding="utf-8") as fh:
-                    entries.append((fn[:-3], textio.parse_morse(fh.read())))
-    else:
-        with open(path, encoding="utf-8") as fh:
-            name = os.path.splitext(os.path.basename(path))[0]
-            entries.append((name, textio.parse_morse(fh.read())))
-    return entries
+    if not os.path.isdir(path):
+        name = os.path.splitext(os.path.basename(path))[0]
+        return [(name, _load_file(path))]
+    try:
+        names = sorted(fn for fn in os.listdir(path) if fn.endswith(".mw"))
+    except OSError as err:
+        raise CorpusError(f"cannot read {path}: {err}") from None
+    return [(fn[:-3], _load_file(os.path.join(path, fn))) for fn in names]
 
 
 def builtin_word(name: str) -> Word:

@@ -143,14 +143,14 @@ def rotation_number(comp: Component, framing: str) -> int:
 
 @dataclass
 class Crossing:
-    """One crossing of the analyzed word, with edge ids per Jaeger role."""
+    """One crossing of the analyzed word. Its edge roles in the state sum
+    (over-in, under-in, over-out, under-out) are `jaeger.crossing_edges`."""
     event_index: int
     tag: str
     sign: int
     slots: tuple       # (below_left, below_right, above_left, above_right)
     orients: tuple     # (o_left, o_right) below the crossing
     colours: tuple     # (c_left, c_right) below the crossing
-    edges: tuple = ()  # (a, b, c, d): over-in, under-in, over-out, under-out
 
 
 @dataclass
@@ -164,7 +164,8 @@ class Analysis:
     A component is a cycle of `nxt` and an edge is a run of a cycle
     between two crossing passages; each is named by its least slot, so
     components come in basepoint order and the state sum's edge order and
-    its trace follow this numbering.
+    its trace follow this numbering. Which edge plays which role at a
+    crossing is the state sum's business (`jaeger.crossing_edges`).
     """
     word: Word
     n_slots: int
@@ -329,18 +330,6 @@ def analyze(word: Word) -> Analysis:
                     slot_edge[r] = least
                 run = []
 
-    # Jaeger edge roles at each crossing: a/c over in/out, b/d under in/out.
-    for c in ana.crossings:
-        x, y, u, v = c.slots
-        o_l, o_r = c.orients
-        slash_in, slash_out = (x, v) if o_l == UP else (v, x)
-        back_in, back_out = (y, u) if o_r == UP else (u, y)
-        if c.tag == OVER_LEFT:
-            a, cc, b, d = slash_in, slash_out, back_in, back_out
-        else:
-            a, cc, b, d = back_in, back_out, slash_in, slash_out
-        c.edges = (slot_edge[a], slot_edge[b], slot_edge[cc], slot_edge[d])
-
     # Components with rotation, writhe and winding bookkeeping.
     turn = [0] * len(basepoints)
     for idx, kind, tag, l, r in ana.extrema:
@@ -364,15 +353,6 @@ def analyze(word: Word) -> Analysis:
 
 def validate(word: Word) -> None:
     analyze(word)
-
-
-def diagnose(word: Word) -> Optional[str]:
-    """Validation as a question: returns the first problem, or None."""
-    try:
-        analyze(word)
-    except DiagramError as err:
-        return str(err)
-    return None
 
 
 def trace_components(word: Word) -> tuple:
@@ -607,135 +587,3 @@ def thread_meridian(word: Word, colour: int = GREEN) -> Word:
     analyze(out)
     return out
 
-
-# -- small isotopy moves, used by the invariance suites --------------------
-
-
-def profiles(word: Word) -> list:
-    """Profiles before each event and after the last one."""
-    analyze(word)
-    prof = list(word.profile)
-    out = [tuple(prof)]
-    for e in word.events:
-        _step(prof, e)
-        out.append(tuple(prof))
-    return out
-
-
-def _shift(e: Event) -> int:
-    return 2 if e.kind == CUP else -2 if e.kind == CAP else 0
-
-
-def commute_events(word: Word, i: int) -> Optional[Word]:
-    """Swap events i and i+1 when they act on disjoint strand ranges."""
-    if i + 1 >= len(word.events):
-        return None
-    e, f = word.events[i], word.events[i + 1]
-    events = list(word.events)
-    if f.pos + 1 < e.pos:
-        events[i] = f
-        events[i + 1] = replace(e, pos=e.pos + _shift(f))
-    else:
-        f_before = f.pos - _shift(e)
-        if f_before <= e.pos + 1 or f_before < 1:
-            return None
-        events[i] = replace(f, pos=f_before)
-        events[i + 1] = e
-    out = replace(word, events=tuple(events))
-    try:
-        analyze(out)
-    except DiagramError:
-        return None
-    return out
-
-
-def insert_zigzag(word: Word, at: int, pos: int, side: str = "right") -> Optional[Word]:
-    prof = profiles(word)[at]
-    if not 1 <= pos <= len(prof):
-        return None
-    orient, colour = prof[pos - 1]
-    if orient == UP:
-        patch = ([Event(CUP, pos + 1, RIGHTMOVING, colour), Event(CAP, pos, RIGHTMOVING)]
-                 if side == "right" else
-                 [Event(CUP, pos, LEFTMOVING, colour), Event(CAP, pos + 1, LEFTMOVING)])
-    else:
-        patch = ([Event(CUP, pos + 1, LEFTMOVING, colour), Event(CAP, pos, LEFTMOVING)]
-                 if side == "right" else
-                 [Event(CUP, pos, RIGHTMOVING, colour), Event(CAP, pos + 1, RIGHTMOVING)])
-    events = list(word.events)
-    events[at:at] = patch
-    out = replace(word, events=tuple(events))
-    try:
-        analyze(out)
-    except DiagramError:
-        return None
-    return out
-
-
-def insert_r2(word: Word, at: int, pos: int, tag: str = OVER_LEFT) -> Optional[Word]:
-    prof = profiles(word)[at]
-    if not 1 <= pos <= len(prof) - 1:
-        return None
-    other = OVER_RIGHT if tag == OVER_LEFT else OVER_LEFT
-    events = list(word.events)
-    events[at:at] = [Event(XING, pos, tag), Event(XING, pos, other)]
-    return replace(word, events=tuple(events))
-
-
-def insert_r3_pair(word: Word, at: int, pos: int, tag: str = OVER_LEFT):
-    """The two sides of a Reidemeister III insertion, as a pair of words.
-
-    The triple permutes the three strands, so the insertion is only legal
-    where the outer strands agree in orientation and colour with what the
-    rest of the word expects; otherwise None.
-    """
-    prof = profiles(word)[at]
-    if not 1 <= pos <= len(prof) - 2:
-        return None
-    left = [Event(XING, pos, tag), Event(XING, pos + 1, tag), Event(XING, pos, tag)]
-    right = [Event(XING, pos + 1, tag), Event(XING, pos, tag), Event(XING, pos + 1, tag)]
-    events = list(word.events)
-    wa = replace(word, events=tuple(events[:at] + left + events[at:]))
-    wb = replace(word, events=tuple(events[:at] + right + events[at:]))
-    try:
-        analyze(wa)
-        analyze(wb)
-    except DiagramError:
-        return None
-    return wa, wb
-
-
-def add_kink(word: Word, at: int, pos: int, rot: int, sign: int) -> Optional[Word]:
-    """Insert a curl of the given rotation (+-1) and crossing sign (+-1)."""
-    prof = profiles(word)[at]
-    if not 1 <= pos <= len(prof):
-        return None
-    orient, colour = prof[pos - 1]
-    if orient == UP:
-        if rot == 1:
-            mid = (UP, DOWN)
-            patch = [Event(CUP, pos + 1, RIGHTMOVING, colour),
-                     Event(XING, pos, None), Event(CAP, pos, LEFTMOVING)]
-        else:
-            mid = (DOWN, UP)
-            patch = [Event(CUP, pos, LEFTMOVING, colour),
-                     Event(XING, pos + 1, None), Event(CAP, pos + 1, RIGHTMOVING)]
-    else:
-        if rot == 1:
-            mid = (UP, DOWN)
-            patch = [Event(CUP, pos, RIGHTMOVING, colour),
-                     Event(XING, pos + 1, None), Event(CAP, pos + 1, LEFTMOVING)]
-        else:
-            mid = (DOWN, UP)
-            patch = [Event(CUP, pos + 1, LEFTMOVING, colour),
-                     Event(XING, pos, None), Event(CAP, pos, RIGHTMOVING)]
-    tag = OVER_LEFT if oriented_sign(mid[0], mid[1], OVER_LEFT) == sign else OVER_RIGHT
-    patch[1] = replace(patch[1], tag=tag)
-    events = list(word.events)
-    events[at:at] = patch
-    out = replace(word, events=tuple(events))
-    try:
-        analyze(out)
-    except DiagramError:
-        return None
-    return out

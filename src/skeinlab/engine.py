@@ -65,10 +65,10 @@ def _require_closed_plane(word: Word) -> None:
                         "annulus elements need the coproduct machinery")
 
 
-def _first_bad(ana, order=None, basepoints=None) -> Optional[int]:
+def _first_bad(ana) -> Optional[int]:
     """Index of the first crossing traversed under before over, if any."""
     seen = set()
-    for ci, strand in diagrams.passage_sequence(ana, order, basepoints):
+    for ci, strand in diagrams.passage_sequence(ana):
         if ci in seen:
             continue
         seen.add(ci)
@@ -105,14 +105,14 @@ def reduce_r2(word: Word) -> Word:
     return Word(word.surface, word.framing, word.profile, tuple(kept))
 
 
-def eval_one_colour(word: Word, memo: Optional[dict] = None,
-                    budget: int = DEFAULT_BUDGET) -> Scalar:
+def eval_one_colour(word: Word, memo: Optional[dict] = None) -> Scalar:
     """The framed invariant of a closed single-colour plane diagram,
-    as an arity-1 scalar in the colour's parameter."""
+    as an arity-1 scalar in the colour's parameter. At most
+    `DEFAULT_BUDGET` new nodes are resolved per call."""
     _require_closed_plane(word)
     if memo is None:
         memo = {}
-    state = [budget, budget]  # nodes left, limit
+    state = [DEFAULT_BUDGET, DEFAULT_BUDGET]  # nodes left, limit
     entry = _resolve(reduce_r2(word), memo, state)
     if entry[1] is None:
         entry[1] = scalars.from_loop_polynomial(entry[0])
@@ -158,17 +158,17 @@ def _resolve(word: Word, memo: dict, state: list) -> list:
     return memo.setdefault(key, [poly, None])
 
 
-def naive_eval(word: Word, rng: Optional[random.Random] = None,
-               budget: int = DEFAULT_BUDGET) -> Scalar:
+def naive_eval(word: Word, rng: Optional[random.Random] = None) -> Scalar:
     """Full binary skein tree with randomized choices and no memo table.
 
     Component order, basepoints and which bad crossing to rewrite are all
     randomized. The traversal draw is kept fixed along chains of crossing
     flips (so the bad count decreases) and redrawn after each smoothing.
+    At most `DEFAULT_BUDGET` nodes are visited.
     """
     _require_closed_plane(word)
     rng = rng or random.Random(0)
-    state = [budget, budget]  # nodes left, limit
+    state = [DEFAULT_BUDGET, DEFAULT_BUDGET]  # nodes left, limit
     return _naive(word, rng, None, state)
 
 
@@ -205,8 +205,7 @@ def _naive(word: Word, rng, carried, state) -> Scalar:
     return flipped + cross.sign * (s * smoothed)
 
 
-def eval_multi_colour(word: Word, n: int, memo: Optional[dict] = None,
-                      budget: int = DEFAULT_BUDGET) -> Scalar:
+def eval_multi_colour(word: Word, n: int, memo: Optional[dict] = None) -> Scalar:
     """Product over colours of the one-colour values of the subdiagrams.
 
     Mixed crossings are transparent, so the colours decouple exactly.
@@ -220,6 +219,6 @@ def eval_multi_colour(word: Word, n: int, memo: Optional[dict] = None,
         raise EvalError(f"colours {sorted(colours)} do not fit in 1..{n}")
     out = Scalar.one(n)
     for c in sorted(colours):
-        part = eval_one_colour(subdiagram(word, {c}), memo, budget)
+        part = eval_one_colour(subdiagram(word, {c}), memo)
         out = out * scalars.tensor_embed(part, c, n)
     return out

@@ -1,6 +1,8 @@
 """Composition state sum over admissible edge labellings.
 
-Edges are the maximal strand arcs between crossings. A labelling with
+Edges are the maximal strand arcs between crossings, named by least
+slot as in `diagrams.Analysis`; this module alone assigns them their
+roles at a crossing (`crossing_edges`). A labelling with
 values in 1..n is admissible when every crossing either preserves labels
 along both strands or is a cutting vertex: the 0-smoothing joins the
 over-in edge to the under-out edge and the under-in edge to the over-out
@@ -26,8 +28,8 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional
 
 from . import diagrams, engine, scalars
-from .diagrams import (CUP, DOWN, Event, PLANE, UP, Word, XING, analyze,
-                       rotation_number, subdiagram)
+from .diagrams import (CUP, DOWN, Event, OVER_LEFT, PLANE, UP, Word, XING,
+                       analyze, rotation_number, subdiagram)
 from .scalars import Scalar
 
 
@@ -46,6 +48,19 @@ def _over_budget(word: Word, budget: int) -> StateSumError:
 
 def edge_list(ana) -> list:
     return sorted(set(ana.slot_edge))
+
+
+def crossing_edges(ana) -> list:
+    """The edges meeting at each crossing, in crossing order, as
+    (over-in, under-in, over-out, under-out) tuples of edge ids."""
+    roles = []
+    for c in ana.crossings:
+        x, y, u, v = c.slots
+        slash = (x, v) if c.orients[0] == UP else (v, x)
+        back = (y, u) if c.orients[1] == UP else (u, y)
+        (a, cc), (b, d) = (slash, back) if c.tag == OVER_LEFT else (back, slash)
+        roles.append((ana.edge(a), ana.edge(b), ana.edge(cc), ana.edge(d)))
+    return roles
 
 
 def _pattern_possible(vals, n: int) -> bool:
@@ -77,14 +92,14 @@ def enumerate_admissible(word: Word, n: int, ana=None) -> Iterator[dict]:
     ana = ana or analyze(word)
     edges = edge_list(ana)
     incident: dict = {e: [] for e in edges}
-    for x in ana.crossings:
-        for e in set(x.edges):
-            incident[e].append(x)
+    for roles in crossing_edges(ana):
+        for e in set(roles):
+            incident[e].append(roles)
     assignment: dict = {}
 
     def ok_around(edge) -> bool:
-        for x in incident[edge]:
-            vals = tuple(assignment.get(e) for e in x.edges)
+        for roles in incident[edge]:
+            vals = tuple(assignment.get(e) for e in roles)
             if not _pattern_possible(vals, n):
                 return False
         return True
@@ -109,17 +124,9 @@ def _is_cut(va, vb, vc, vd) -> bool:
     return va == vd and vb == vc and vb > va
 
 
-def is_admissible(ana, labelling: dict) -> bool:
-    for x in ana.crossings:
-        va, vb, vc, vd = (labelling[e] for e in x.edges)
-        if not ((va == vc and vb == vd) or _is_cut(va, vb, vc, vd)):
-            return False
-    return True
-
-
 def cutting_vertices(ana, labelling: dict) -> list:
-    return [i for i, x in enumerate(ana.crossings)
-            if _is_cut(*(labelling[e] for e in x.edges))]
+    return [i for i, roles in enumerate(crossing_edges(ana))
+            if _is_cut(*(labelling[e] for e in roles))]
 
 
 def interaction(word: Word, labelling: dict, n: int = 2, ana=None) -> Scalar:
@@ -134,7 +141,8 @@ def interaction(word: Word, labelling: dict, n: int = 2, ana=None) -> Scalar:
 
 
 def smoothed_coloured(word: Word, labelling: dict, ana=None) -> Word:
-    """Smooth every cutting vertex and colour each arc by its label."""
+    """Smooth every cutting vertex and colour each arc by its label.
+    The result is not validated; `state_sum` analyzes it anyway."""
     ana = ana or analyze(word)
     cut_events = {}
     for i in cutting_vertices(ana, labelling):
@@ -163,9 +171,7 @@ def smoothed_coloured(word: Word, labelling: dict, ana=None) -> Word:
             events.append(e)
     profile = tuple((o, labelling[ana.edge(s)])
                     for (o, _), s in zip(word.profile, ana.bottom))
-    out = Word(word.surface, word.framing, profile, tuple(events))
-    diagrams.validate(out)
-    return out
+    return Word(word.surface, word.framing, profile, tuple(events))
 
 
 def _rotation_correction(rots: list, n: int) -> Scalar:
@@ -179,7 +185,8 @@ def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
 
     Each admissible labelling contributes its interaction, the rotation
     correction of the smoothed subdiagrams, and the product of their
-    one-colour invariants, one tensor slot per label.
+    one-colour invariants, one tensor slot per label. One analysis of the
+    smoothed, label-coloured word gives every label's rotation.
 
     At most `DEFAULT_BUDGET` labellings are admitted (10,000; no call in
     the test suite admits more than 210, none in the benchmark more
@@ -205,19 +212,15 @@ def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
         if count > budget:
             raise _over_budget(word, budget)
         smoothed = smoothed_coloured(word, f, ana)
-        coeff = interaction(word, f, n, ana)
-        rots = []
-        parts = []
-        for c in range(1, n + 1):
-            part = subdiagram(smoothed, {c})
-            parts.append(part)
-            rots.append(sum(rotation_number(comp, word.framing)
-                            for comp in diagrams.trace_components(part)))
-        coeff = coeff * _rotation_correction(rots, n)
+        components = analyze(smoothed).components
+        rots = [sum(rotation_number(comp, word.framing)
+                    for comp in components if comp.colour == c)
+                for c in range(1, n + 1)]
+        coeff = interaction(word, f, n, ana) * _rotation_correction(rots, n)
         value = coeff
-        for c, part in enumerate(parts, start=1):
-            h = engine.eval_one_colour(diagrams.recolour(part, 1), memo)
-            value = value * scalars.tensor_embed(h, c, n)
+        for c in range(1, n + 1):
+            part = diagrams.recolour(subdiagram(smoothed, {c}), 1)
+            value = value * scalars.tensor_embed(engine.eval_one_colour(part, memo), c, n)
         if trace is not None:
             cuts = cutting_vertices(ana, f)
             labels = [f[e] for e in edge_list(ana)]

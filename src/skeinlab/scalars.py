@@ -58,7 +58,7 @@ def _divide_q_laurent(poly: dict, lo: int, hi: int):
     return quo
 
 
-def _divide_once(terms: dict, arity: int):
+def _divide_once(terms: dict):
     """Exact division of a term dict by (q - q^-1); None if not divisible.
 
     Works a-monomial by a-monomial: f / (q - q^-1) = (f * q) / (q^2 - 1),
@@ -95,7 +95,7 @@ class Scalar:
         clean = {k: v for k, v in terms.items() if v} if not _canonical else dict(terms)
         if not _canonical:
             while den_pow > 0 and clean:
-                quo = _divide_once(clean, arity)
+                quo = _divide_once(clean)
                 if quo is None:
                     break
                 clean = quo
@@ -357,22 +357,12 @@ def specialize(s: Scalar, values: Iterable) -> Scalar:
         raise ArityError(f"expected {s.arity} integers, got {len(ns)}")
     out: dict = {}
     for expo, c in s.terms.items():
-        e = expo[0] + sum(n * ea for n, ea in zip(ns, expo[1:]))
-        key = (e,)
+        key = (expo[0] + sum(n * ea for n, ea in zip(ns, expo[1:])),)
         out[key] = out.get(key, 0) + c
-    out = {k: v for k, v in out.items() if v}
-    den = s.den_pow
-    while den > 0 and out:
-        quo = _divide_once(out, 0)
-        if quo is None:
-            raise SpecializeError("not polynomial at this specialization")
-        out = quo
-        den -= 1
-    if not out:
-        den = 0
-    if den > 0:
+    value = Scalar(0, out, s.den_pow)
+    if value.den_pow:
         raise SpecializeError("not polynomial at this specialization")
-    return Scalar(0, out, 0, _canonical=True)
+    return value
 
 
 def bar(s: Scalar) -> Scalar:

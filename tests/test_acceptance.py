@@ -15,6 +15,7 @@ from skeinlab import jaeger as J
 from skeinlab import scalars as S
 from skeinlab.diagrams import ANNULUS, BLACKBOARD, RADIAL, UP, GREEN, Word
 
+import isotopy
 from conftest import random_braid_closure, random_word
 from test_scalars import rand_scalar
 
@@ -189,33 +190,33 @@ def test_criterion_11_isotopy_invariance():
         ev = E.eval_one_colour(w, memo)
         dv = C.coproduct_diagram(w).evaluate(memo)
         at = rng.randint(0, len(w.events))
-        prof = D.profiles(w)[at]
+        prof = isotopy.profiles(w)[at]
         if not prof:
             continue
         pos = rng.randint(1, len(prof))
         variants = []
-        z = D.insert_zigzag(w, at, pos, rng.choice(("left", "right")))
+        z = isotopy.insert_zigzag(w, at, pos, rng.choice(("left", "right")))
         if z is not None:
             variants.append(z)
         if len(prof) >= 2:
-            r2 = D.insert_r2(w, at, rng.randint(1, len(prof) - 1), rng.choice("ou"))
+            r2 = isotopy.insert_r2(w, at, rng.randint(1, len(prof) - 1), rng.choice("ou"))
             if r2 is not None:
                 variants.append(r2)
         if len(prof) >= 3:
-            pair = D.insert_r3_pair(w, at, rng.randint(1, len(prof) - 2),
-                                    rng.choice("ou"))
+            pair = isotopy.insert_r3_pair(w, at, rng.randint(1, len(prof) - 2),
+                                          rng.choice("ou"))
             if pair is not None:
                 wa, wb = pair
                 assert E.eval_one_colour(wa, memo) == E.eval_one_colour(wb, memo)
                 assert (C.coproduct_diagram(wa).evaluate(memo)
                         == C.coproduct_diagram(wb).evaluate(memo))
         i = rng.randint(0, max(0, len(w.events) - 2))
-        cmt = D.commute_events(w, i)
+        cmt = isotopy.commute_events(w, i)
         if cmt is not None:
             variants.append(cmt)
         sign = rng.choice((1, -1))
-        k1 = D.add_kink(w, at, pos, 1, sign)
-        k2 = D.add_kink(w, at, pos, -1, sign)
+        k1 = isotopy.add_kink(w, at, pos, 1, sign)
+        k2 = isotopy.add_kink(w, at, pos, -1, sign)
         if k1 is not None and k2 is not None:
             assert E.eval_one_colour(k1, memo) == E.eval_one_colour(k2, memo)
             assert (C.coproduct_diagram(k1).evaluate(memo)

@@ -188,3 +188,53 @@ def test_verify_coassoc_budget_on_nine_circle_unlink(tmp_path, capsys):
     assert elapsed < 1.0  # refused before enumerating
     assert cli.main(["verify", "jaeger", "--corpus", str(corpus)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "ok: 1 checks, 0 failures"
+
+
+def _one_line_error(capsys, argv) -> str:
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("skeinlab: error: ")
+    return captured.err
+
+
+def test_verify_missing_corpus_is_one_line(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent")
+    err = _one_line_error(capsys, ["verify", "all", "--corpus", missing])
+    assert f"cannot read {missing}: " in err
+
+
+def test_undecodable_input_is_one_line(tmp_path, capsys):
+    p = tmp_path / "latin1.mw"
+    p.write_bytes(b"surface plane\n# caf\xe9\ncup 1 >\ncap 1 <\n")
+    err = _one_line_error(capsys, ["eval", str(p)])
+    assert f"cannot read {p}: " in err
+
+
+def test_undecodable_corpus_file_is_one_line(tmp_path, capsys):
+    (tmp_path / "a.mw").write_text("cup 1 >\ncap 1 <\n", encoding="utf-8")
+    (tmp_path / "b.mw").write_bytes(b"\xff\xfe")
+    err = _one_line_error(capsys, ["verify", "jaeger", "--corpus", str(tmp_path)])
+    assert f"cannot read {tmp_path / 'b.mw'}: " in err
+
+
+def test_corpus_parse_error_names_the_file(tmp_path, capsys):
+    (tmp_path / "bad.mw").write_text("cap 1 <\n", encoding="utf-8")
+    err = _one_line_error(capsys, ["verify", "jaeger", "--corpus", str(tmp_path)])
+    assert f"{tmp_path / 'bad.mw'}: " in err and "line 1" in err
+
+
+def test_specialize_is_eval_with_t(tmp_path, trefoil_file, capsys):
+    for t in ("1", "2", "-3"):
+        assert cli.main(["specialize", trefoil_file, "--t", t]) == 0
+        specialized = capsys.readouterr().out
+        assert cli.main(["eval", trefoil_file, "--t", t]) == 0
+        assert capsys.readouterr().out == specialized
+    # a two-colour Hopf link: green over red, then red over green
+    hopf = tmp_path / "hopf-gr.mw"
+    hopf.write_text("cup 1 > g\ncup 3 > r\nx 2 o\nx 2 o\ncap 3 <\ncap 1 <\n",
+                    encoding="utf-8")
+    for command in ("specialize", "eval"):
+        assert cli.main([command, str(hopf), "--t", "1,2"]) == 0
+        assert capsys.readouterr().out == "q^-1 + q\n"

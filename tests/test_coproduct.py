@@ -14,6 +14,7 @@ from skeinlab import textio as T
 from skeinlab.diagrams import (ANNULUS, BLACKBOARD, Event, GREEN, PLANE,
                                RADIAL, UP, Word, CUP, CAP, XING)
 
+import isotopy
 from conftest import random_word
 
 
@@ -287,14 +288,14 @@ def test_isotopy_invariance_of_evaluated_coproduct():
         memo = {}
         v = C.coproduct_diagram(w).evaluate(memo)
         at = rng.randint(0, len(w.events))
-        prof = D.profiles(w)[at]
+        prof = isotopy.profiles(w)[at]
         if not prof:
             continue
-        z = D.insert_zigzag(w, at, rng.randint(1, len(prof)))
+        z = isotopy.insert_zigzag(w, at, rng.randint(1, len(prof)))
         if z is not None:
             assert C.coproduct_diagram(z).evaluate(memo) == v
         if len(prof) >= 2:
-            r2 = D.insert_r2(w, at, rng.randint(1, len(prof) - 1))
+            r2 = isotopy.insert_r2(w, at, rng.randint(1, len(prof) - 1))
             if r2 is not None:
                 assert C.coproduct_diagram(r2).evaluate(memo) == v
         checked += 1
@@ -372,8 +373,8 @@ def test_same_annulus_element_falls_back_to_the_eval_family():
     memo = {}
     w = T.desugar_braid(2, [1], False)
     element = C.coproduct_diagram(w)
-    r2 = C.coproduct_diagram(D.insert_r2(w, 0, 1))
-    zigzag = C.coproduct_diagram(D.insert_zigzag(w, 1, 2))
+    r2 = C.coproduct_diagram(isotopy.insert_r2(w, 0, 1))
+    zigzag = C.coproduct_diagram(isotopy.insert_zigzag(w, 1, 2))
     for other in (r2, zigzag):
         assert other != element
         assert C._same_annulus_element(element, other, memo)

@@ -4,10 +4,12 @@ import pytest
 
 from skeinlab import corpus
 from skeinlab import diagrams as D
+from skeinlab import jaeger as J
 from skeinlab import textio as T
 from skeinlab.diagrams import (ANNULUS, BLACKBOARD, CAP, CUP, Event, GREEN,
                                OVER_LEFT, RADIAL, RED, UP, Word)
 
+import isotopy
 from conftest import random_braid_closure, random_word
 
 
@@ -17,9 +19,9 @@ def ccw_unknot():
 
 def test_validate_examples():
     D.validate(ccw_unknot())
-    assert "nonempty final profile" in D.diagnose(Word(events=(Event(CUP, 1, ">"),)))
+    assert "nonempty final profile" in isotopy.diagnose(Word(events=(Event(CUP, 1, ">"),)))
     bad = Word(events=(Event(CUP, 1, ">"), Event(CAP, 1, ">")))
-    assert "cap orientation mismatch" in D.diagnose(bad)
+    assert "cap orientation mismatch" in isotopy.diagnose(bad)
 
 
 def test_validate_reports_event_index():
@@ -227,10 +229,12 @@ def test_components_and_edges_match_a_union_over_links():
         assert [c.index for c in ana.components] == list(range(len(ana.components)))
         assert [ana.component_of_slot(s).basepoint
                 for s in range(ana.n_slots)] == comps
-        for c in ana.crossings:
+        roles = J.crossing_edges(ana)
+        assert len(roles) == len(ana.crossings)
+        for c, got in zip(ana.crossings, roles):
             x, y, u, v = c.slots
             slash = (x, v) if c.orients[0] == UP else (v, x)
             back = (y, u) if c.orients[1] == UP else (u, y)
             over, under = (slash, back) if c.tag == OVER_LEFT else (back, slash)
-            assert c.edges == (edges[over[0]], edges[under[0]],
-                               edges[over[1]], edges[under[1]])
+            assert got == (edges[over[0]], edges[under[0]],
+                           edges[over[1]], edges[under[1]])

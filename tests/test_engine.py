@@ -9,6 +9,7 @@ from skeinlab import scalars as S
 from skeinlab import textio as T
 from skeinlab.diagrams import Event, Word, CUP, CAP, GREEN, RED, XING
 
+import isotopy
 from conftest import random_braid_closure, random_word
 
 
@@ -76,26 +77,26 @@ def test_isotopy_moves_leave_value_unchanged():
         w = random_word(rng, max_events=12, max_crossings=5)
         v = E.eval_one_colour(w)
         at = rng.randint(0, len(w.events))
-        prof = D.profiles(w)[at]
+        prof = isotopy.profiles(w)[at]
         if not prof:
             continue
         pos = rng.randint(1, len(prof))
-        z = D.insert_zigzag(w, at, pos, rng.choice(("left", "right")))
+        z = isotopy.insert_zigzag(w, at, pos, rng.choice(("left", "right")))
         if z is not None:
             assert E.eval_one_colour(z) == v
         if len(prof) >= 2:
-            r2 = D.insert_r2(w, at, rng.randint(1, len(prof) - 1),
-                             rng.choice("ou"))
+            r2 = isotopy.insert_r2(w, at, rng.randint(1, len(prof) - 1),
+                                   rng.choice("ou"))
             if r2 is not None:
                 assert E.eval_one_colour(r2) == v
         if len(prof) >= 3:
-            pair = D.insert_r3_pair(w, at, rng.randint(1, len(prof) - 2),
-                                    rng.choice("ou"))
+            pair = isotopy.insert_r3_pair(w, at, rng.randint(1, len(prof) - 2),
+                                          rng.choice("ou"))
             if pair is not None:
                 wa, wb = pair
                 assert E.eval_one_colour(wa) == E.eval_one_colour(wb)
         i = rng.randint(0, len(w.events) - 2)
-        c = D.commute_events(w, i)
+        c = isotopy.commute_events(w, i)
         if c is not None:
             assert E.eval_one_colour(c) == v
         checked += 1
@@ -107,13 +108,13 @@ def test_twist_flip_both_curls_equal():
         w = random_word(rng, max_events=10, max_crossings=4)
         v = E.eval_one_colour(w)
         at = rng.randint(0, len(w.events))
-        prof = D.profiles(w)[at]
+        prof = isotopy.profiles(w)[at]
         if not prof:
             continue
         pos = rng.randint(1, len(prof))
         sign = rng.choice((1, -1))
-        left = D.add_kink(w, at, pos, rot=1, sign=sign)
-        right = D.add_kink(w, at, pos, rot=-1, sign=sign)
+        left = isotopy.add_kink(w, at, pos, rot=1, sign=sign)
+        right = isotopy.add_kink(w, at, pos, rot=-1, sign=sign)
         if left is None or right is None:
             continue
         want = S.monomial(1, 1, a=[sign]) * v
@@ -171,25 +172,27 @@ def test_naive_oracle_agrees_across_r2_pairs():
     while checked < 20:
         w = random_word(rng, max_events=10, max_crossings=4)
         at = rng.randint(0, len(w.events))
-        prof = D.profiles(w)[at]
+        prof = isotopy.profiles(w)[at]
         if len(prof) < 2:
             continue
-        r2 = D.insert_r2(w, at, rng.randint(1, len(prof) - 1), rng.choice("ou"))
+        r2 = isotopy.insert_r2(w, at, rng.randint(1, len(prof) - 1), rng.choice("ou"))
         assert len(E.reduce_r2(r2).events) <= len(w.events)
         assert E.naive_eval(r2, rng) == E.eval_one_colour(r2) == E.eval_one_colour(w)
         checked += 1
 
 
-def test_budget_error():
+def test_budget_error(monkeypatch):
     tre = T.desugar_braid(2, [1, 1, 1], True)
+    monkeypatch.setattr(E, "DEFAULT_BUDGET", 2)
     with pytest.raises(E.BudgetError) as err:
-        E.eval_one_colour(tre, budget=2)
+        E.eval_one_colour(tre)
     assert err.value.word is not None
     # the message names the limit and a short form of the (kept) full word
     long_torus = T.desugar_braid(2, [1] * 300, True)
+    monkeypatch.setattr(E, "DEFAULT_BUDGET", 3)
     for evaluate in (E.eval_one_colour, E.naive_eval):
         with pytest.raises(E.BudgetError) as err:
-            evaluate(long_torus, budget=3)
+            evaluate(long_torus)
         text = str(err.value)
         assert err.value.budget == 3 and "budget of 3 nodes" in text
         assert len(err.value.word.events) > 100

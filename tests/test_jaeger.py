@@ -10,6 +10,7 @@ from skeinlab import scalars as S
 from skeinlab import textio as T
 from skeinlab.diagrams import Event, Word, CUP, CAP
 
+import isotopy
 from conftest import random_word
 
 
@@ -19,7 +20,7 @@ def brute_force_labellings(word, n):
     out = []
     for vals in product(range(1, n + 1), repeat=len(edges)):
         f = dict(zip(edges, vals))
-        if J.is_admissible(ana, f):
+        if isotopy.is_admissible(ana, f):
             out.append(f)
     return out
 
