@@ -12,8 +12,8 @@ from .scalars import (ArityError, CounitUndefinedError, Scalar, SpecializeError,
 from .diagrams import (ANNULUS, BLACKBOARD, Component, DiagramError, Event,
                        GREEN, PLANE, RADIAL, RED, VIOLET, Word,
                        analyze, combine, mirror, planar_closure, power,
-                       reverse, rotation_number, subdiagram, thread_meridian,
-                       trace_components, validate, writhe)
+                       reverse, rotation_number, split_colours, thread_meridian,
+                       total_rotation, trace_components, validate, writhe)
 from .textio import (DiagnosticError, GrammarError, LexicalError, SemanticError,
                      desugar_braid, parse_morse, render, render_morse)
 from .engine import (BudgetError, EvalError, eval_multi_colour, eval_one_colour,

@@ -33,7 +33,6 @@ def _load_word(path: str, framing_flag) -> Word:
                 "radial or --framing blackboard explicitly")
         if framing_flag is not None:
             word = Word(word.surface, framing_flag, word.profile, word.events)
-            diagrams.validate(word)
     elif framing_flag == diagrams.RADIAL:
         raise CliError("radial framing is only legal on annulus inputs")
     return word

@@ -21,7 +21,7 @@ number +1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 PLANE = "plane"
 ANNULUS = "annulus"
@@ -44,6 +44,14 @@ VIOLET = 3
 
 _TURN = {(CUP, RIGHTMOVING): 1, (CUP, LEFTMOVING): -1,
          (CAP, LEFTMOVING): 1, (CAP, RIGHTMOVING): -1}
+
+
+def total_rotation(word: Word) -> int:
+    """The summed rotation numbers of a valid word's components: half the
+    sum of its extremum turns. On the plane this is the summed blackboard
+    rotation; no analysis is needed."""
+    return sum(_TURN[(e.kind, e.tag)] for e in word.events if e.kind != XING) // 2
+
 
 _CUP_PAIR = {RIGHTMOVING: (DOWN, UP), LEFTMOVING: (UP, DOWN)}
 _CAP_PAIR = {RIGHTMOVING: (UP, DOWN), LEFTMOVING: (DOWN, UP)}
@@ -406,13 +414,6 @@ def reverse(word: Word) -> Word:
     return replace(word, events=events, profile=profile)
 
 
-def recolour(word: Word, colour: int) -> Word:
-    events = tuple(replace(e, colour=colour) if e.kind == CUP else e
-                   for e in word.events)
-    profile = tuple((o, colour) for o, _ in word.profile)
-    return replace(word, events=events, profile=profile)
-
-
 def flip_crossing(word: Word, event_index: int) -> Word:
     e = word.events[event_index]
     if e.kind != XING:
@@ -423,15 +424,14 @@ def flip_crossing(word: Word, event_index: int) -> Word:
     return replace(word, events=tuple(events))
 
 
-def smooth_crossing(word: Word, event_index: int, ana: Optional[Analysis] = None) -> Word:
-    """Replace a crossing by its oriented 0-smoothing.
+def smooth_crossing(word: Word, cross: Crossing) -> Word:
+    """Replace a crossing of the word's analysis by its oriented 0-smoothing.
 
     Equal orientations: the crossing event is simply dropped. Opposite
     orientations: the smoothing is a turnback, a cap followed by a cup.
     """
-    ana = ana or analyze(word)
-    cross = next(c for c in ana.crossings if c.event_index == event_index)
     o_l, o_r = cross.orients
+    event_index = cross.event_index
     events = list(word.events)
     p = word.events[event_index].pos
     if o_l == o_r:
@@ -484,9 +484,7 @@ def normalize_crossings(word: Word, ana: Optional[Analysis] = None) -> Word:
             events.extend(_normalize_one(list(word.events), idx, by_index[idx].orients))
         else:
             events.append(e)
-    out = replace(word, events=tuple(events))
-    analyze(out)
-    return out
+    return replace(word, events=tuple(events))
 
 
 def _step(prof: list, e: Event) -> None:
@@ -500,30 +498,26 @@ def _step(prof: list, e: Event) -> None:
         prof[e.pos - 1], prof[e.pos] = prof[e.pos], prof[e.pos - 1]
 
 
-def subdiagram(word: Word, colours: Iterable) -> Word:
-    """Delete every strand whose colour is not in the given set."""
-    keep = set(colours)
-    analyze(word)
+def split_colours(word: Word, n: int) -> list:
+    """The one-colour parts of a valid word whose colours lie in 1..n.
+
+    Part c holds the strands of colour c, recoloured GREEN, with their
+    positions renumbered; mixed crossings are dropped. One pass over the
+    events; a colour with no strands gives the empty word of the same
+    surface and framing.
+    """
+    events = [[] for _ in range(n)]
     prof = list(word.profile)
-    events = []
-
-    def kept_index(pos):
-        return sum(1 for _, c in prof[:pos - 1] if c in keep) + 1
-
     for e in word.events:
-        if e.kind == CUP:
-            if e.colour in keep:
-                events.append(Event(CUP, kept_index(e.pos), e.tag, e.colour))
-        elif e.kind == CAP:
-            if prof[e.pos - 1][1] in keep:
-                events.append(Event(CAP, kept_index(e.pos), e.tag))
-        elif prof[e.pos - 1][1] in keep and prof[e.pos][1] in keep:
-            events.append(Event(XING, kept_index(e.pos), e.tag))
+        c = e.colour if e.kind == CUP else prof[e.pos - 1][1]
+        if e.kind != XING or prof[e.pos][1] == c:
+            pos = sum(1 for _, k in prof[:e.pos - 1] if k == c) + 1
+            events[c - 1].append(Event(e.kind, pos, e.tag))
         _step(prof, e)
-    new_profile = tuple(p for p in word.profile if p[1] in keep)
-    out = replace(word, profile=new_profile, events=tuple(events))
-    analyze(out)
-    return out
+    return [Word(word.surface, word.framing,
+                 tuple((o, GREEN) for o, k in word.profile if k == c),
+                 tuple(events[c - 1]))
+            for c in range(1, n + 1)]
 
 
 def combine(w1: Word, w2: Word) -> Word:
@@ -565,25 +559,21 @@ def planar_closure(word: Word) -> Word:
         orient, _ = word.profile[k - 1]
         tag = LEFTMOVING if orient == UP else RIGHTMOVING
         post.append(Event(CAP, p - k + 1, tag))
-    out = Word(surface=PLANE, framing=BLACKBOARD, profile=(),
-               events=tuple(pre + body + post))
-    analyze(out)
-    return out
+    return Word(surface=PLANE, framing=BLACKBOARD, profile=(),
+                events=tuple(pre + body + post))
 
 
-def thread_meridian(word: Word, colour: int = GREEN) -> Word:
+def thread_meridian(word: Word) -> Word:
     """Add one test circle through the annulus hole, linking the gluing
     bundle once: cup on the outside, one pass under, one pass over."""
     if word.surface != ANNULUS:
         raise DiagramError("meridian threading applies to annulus words")
     p = len(word.profile)
-    block = [Event(CUP, p + 1, RIGHTMOVING, colour)]
+    block = [Event(CUP, p + 1, RIGHTMOVING)]
     for k in range(p, 0, -1):
         block.append(Event(XING, k, OVER_LEFT))
     for k in range(p + 1, 1, -1):
         block.append(Event(XING, k, OVER_RIGHT))
     block.append(Event(CAP, 1, LEFTMOVING))
-    out = replace(word, events=tuple(block) + word.events)
-    analyze(out)
-    return out
+    return replace(word, events=tuple(block) + word.events)
 

@@ -39,7 +39,7 @@ from typing import Optional
 
 from . import diagrams
 from .diagrams import (OVER_LEFT, PLANE, XING, Word, analyze, flip_crossing,
-                       smooth_crossing, subdiagram, word_key)
+                       smooth_crossing, split_colours, word_key)
 from . import scalars
 from .scalars import Scalar
 
@@ -152,8 +152,7 @@ def _resolve(word: Word, memo: dict, state: list) -> list:
         cross = ana.crossings[bad]
         flipped = _resolve(reduce_r2(flip_crossing(word, cross.event_index)),
                            memo, state)
-        smoothed = _resolve(reduce_r2(smooth_crossing(word, cross.event_index, ana)),
-                            memo, state)
+        smoothed = _resolve(reduce_r2(smooth_crossing(word, cross)), memo, state)
         poly = _step(flipped[0], smoothed[0], cross.sign)
     return memo.setdefault(key, [poly, None])
 
@@ -200,15 +199,18 @@ def _naive(word: Word, rng, carried, state) -> Scalar:
         return _base_value(ana)
     cross = ana.crossings[rng.choice(bads)]
     flipped = _naive(flip_crossing(word, cross.event_index), rng, carried, state)
-    smoothed = _naive(smooth_crossing(word, cross.event_index, ana), rng, None, state)
+    smoothed = _naive(smooth_crossing(word, cross), rng, None, state)
     s = scalars.q_minus_qinv(1)
     return flipped + cross.sign * (s * smoothed)
 
 
 def eval_multi_colour(word: Word, n: int, memo: Optional[dict] = None) -> Scalar:
-    """Product over colours of the one-colour values of the subdiagrams.
+    """Product over the colours present of the one-colour values of the
+    word's colour parts (`diagrams.split_colours`), colour c in tensor
+    slot c of n.
 
-    Mixed crossings are transparent, so the colours decouple exactly.
+    Mixed crossings are transparent, so the colours decouple exactly. The
+    word itself is analyzed once, to validate it and read its colours.
     """
     _require_closed_plane(word)
     if memo is None:
@@ -217,8 +219,9 @@ def eval_multi_colour(word: Word, n: int, memo: Optional[dict] = None) -> Scalar
     colours = {c.colour for c in ana.components}
     if not colours <= set(range(1, n + 1)):
         raise EvalError(f"colours {sorted(colours)} do not fit in 1..{n}")
+    parts = split_colours(word, n)
     out = Scalar.one(n)
     for c in sorted(colours):
-        part = eval_one_colour(subdiagram(word, {c}), memo)
+        part = eval_one_colour(parts[c - 1], memo)
         out = out * scalars.tensor_embed(part, c, n)
     return out

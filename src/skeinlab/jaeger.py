@@ -8,8 +8,8 @@ along both strands or is a cutting vertex: the 0-smoothing joins the
 over-in edge to the under-out edge and the under-in edge to the over-out
 edge, and at a cutting vertex the under-in/over-out pair carries the
 strictly larger label. A cutting vertex contributes sgn(v)(q - q^-1) to
-the interaction and is replaced by the smoothing before the subdiagrams
-are extracted.
+the interaction and is replaced by the smoothing before the word is split
+into its label subdiagrams.
 
 The rotation correction multiplies, for each label c with subdiagram
 rotation r_c, the monomial made of a_j^{+r_c} for j > c and a_j^{-r_c}
@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Optional
 
 from . import diagrams, engine, scalars
 from .diagrams import (CUP, DOWN, Event, OVER_LEFT, PLANE, UP, Word, XING,
-                       analyze, rotation_number, subdiagram)
+                       analyze)
 from .scalars import Scalar
 
 
@@ -140,10 +140,10 @@ def interaction(word: Word, labelling: dict, n: int = 2, ana=None) -> Scalar:
     return scalars.integer(sign, n) * s ** len(cuts)
 
 
-def smoothed_coloured(word: Word, labelling: dict, ana=None) -> Word:
+def smoothed_coloured(word: Word, labelling: dict, ana) -> Word:
     """Smooth every cutting vertex and colour each arc by its label.
-    The result is not validated; `state_sum` analyzes it anyway."""
-    ana = ana or analyze(word)
+    The result is not validated: an admissible labelling gives every cap,
+    the smoothing's included, two strands of one label."""
     cut_events = {}
     for i in cutting_vertices(ana, labelling):
         x = ana.crossings[i]
@@ -185,8 +185,11 @@ def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
 
     Each admissible labelling contributes its interaction, the rotation
     correction of the smoothed subdiagrams, and the product of their
-    one-colour invariants, one tensor slot per label. One analysis of the
-    smoothed, label-coloured word gives every label's rotation.
+    one-colour invariants, one tensor slot per label. The subdiagrams are
+    the colour parts of the smoothed, label-coloured word
+    (`diagrams.split_colours`), and each label's rotation is read off its
+    part's extrema (`diagrams.total_rotation`), so one analysis of the
+    input serves every labelling.
 
     At most `DEFAULT_BUDGET` labellings are admitted (10,000; no call in
     the test suite admits more than 210, none in the benchmark more
@@ -211,15 +214,11 @@ def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
     for count, f in enumerate(enumerate_admissible(word, n, ana), start=1):
         if count > budget:
             raise _over_budget(word, budget)
-        smoothed = smoothed_coloured(word, f, ana)
-        components = analyze(smoothed).components
-        rots = [sum(rotation_number(comp, word.framing)
-                    for comp in components if comp.colour == c)
-                for c in range(1, n + 1)]
+        parts = diagrams.split_colours(smoothed_coloured(word, f, ana), n)
+        rots = [diagrams.total_rotation(part) for part in parts]
         coeff = interaction(word, f, n, ana) * _rotation_correction(rots, n)
         value = coeff
-        for c in range(1, n + 1):
-            part = diagrams.recolour(subdiagram(smoothed, {c}), 1)
+        for c, part in enumerate(parts, start=1):
             value = value * scalars.tensor_embed(engine.eval_one_colour(part, memo), c, n)
         if trace is not None:
             cuts = cutting_vertices(ana, f)

@@ -38,10 +38,8 @@ LETTER_OF_COLOUR = {v: k for k, v in COLOUR_LETTERS.items()}
 class DiagnosticError(ValueError):
     """Structured parse failure with position and expectation info."""
 
-    def __init__(self, message: str, line: int = 0, column: int = 0,
-                 expected: tuple = ()):
+    def __init__(self, message: str, line: int = 0, expected: tuple = ()):
         self.line = line
-        self.column = column
         self.expected = expected
         at = f" at line {line}" if line else ""
         hint = f" (expected one of: {', '.join(expected)})" if expected else ""

@@ -59,6 +59,12 @@ def test_coproduct_requires_framing_on_annulus(core_file, capsys):
     assert cli.main(["coproduct", core_file, "--framing", "radial"]) == 0
     out = capsys.readouterr().out
     assert "1_∅" in out
+    # the flag gives exactly what a declared framing header gives
+    declared = Path(core_file).with_name("core-radial.mw")
+    declared.write_text("surface annulus\nframing radial\nprofile ^g\n",
+                        encoding="utf-8")
+    assert cli.main(["coproduct", str(declared)]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_radial_flag_rejected_on_plane(trefoil_file, capsys):

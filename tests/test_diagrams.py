@@ -7,7 +7,7 @@ from skeinlab import diagrams as D
 from skeinlab import jaeger as J
 from skeinlab import textio as T
 from skeinlab.diagrams import (ANNULUS, BLACKBOARD, CAP, CUP, Event, GREEN,
-                               OVER_LEFT, RADIAL, RED, UP, Word)
+                               OVER_LEFT, RADIAL, RED, UP, VIOLET, Word)
 
 import isotopy
 from conftest import random_braid_closure, random_word
@@ -77,24 +77,29 @@ def test_mirror_and_reverse_symmetries():
             sorted(-c.rotation for c in comps)
 
 
-def test_subdiagram_examples():
+def test_split_colours_examples():
     w = ccw_unknot()
-    assert D.subdiagram(w, {GREEN}) == w
-    assert D.subdiagram(w, {RED}).events == ()
+    assert D.split_colours(w, 1) == [w]
+    assert D.split_colours(w, 2) == [w, Word()]
     nested = Word(events=(Event(CUP, 1, ">", RED), Event(CUP, 2, ">", GREEN),
                           Event(CAP, 2, "<"), Event(CAP, 1, "<")))
-    green = D.subdiagram(nested, {GREEN})
-    red = D.subdiagram(nested, {RED})
+    green, red = D.split_colours(nested, 2)
     assert len(D.trace_components(green)) == 1
     assert len(D.trace_components(red)) == 1
     assert D.trace_components(green)[0].rotation == 1
+    # both circles come out recoloured GREEN and renumbered to position 1
+    assert green == red == w
 
 
-def test_subdiagram_keeps_unmixed_crossings():
+def test_split_colours_keeps_unmixed_crossings():
     rng = random.Random(22)
+
+    def shape(comps):
+        return sorted((c.rotation, c.self_writhe) for c in comps)
+
     for _ in range(20):
         w = random_word(rng, max_events=12, max_crossings=5)
-        # colour components alternately
+        # colour components alternately; VIOLET stays absent
         ana = D.analyze(w)
         comp_colour = {c.index: GREEN if c.index % 2 == 0 else RED
                        for c in ana.components}
@@ -109,10 +114,19 @@ def test_subdiagram_keeps_unmixed_crossings():
         cw = Word(events=tuple(events))
         ana2 = D.analyze(cw)
         unmixed = sum(1 for c in ana2.crossings if c.colours[0] == c.colours[1])
-        g = D.subdiagram(cw, {GREEN})
-        r = D.subdiagram(cw, {RED})
-        total = len(D.analyze(g).crossings) + len(D.analyze(r).crossings)
-        assert total == unmixed
+        parts = D.split_colours(cw, 3)
+        part_anas = [D.analyze(part) for part in parts]
+        assert sum(len(a.crossings) for a in part_anas) == unmixed
+        for colour, a in zip((GREEN, RED, VIOLET), part_anas):
+            assert {c.colour for c in a.components} <= {GREEN}
+            assert shape(a.components) == \
+                shape(c for c in ana2.components if c.colour == colour)
+        assert parts[2] == Word()
+
+    words = [w for _, w in corpus.load_builtin()]
+    words += [random_word(rng) for _ in range(30)]
+    for w in words:
+        assert D.total_rotation(w) == sum(c.rotation for c in D.analyze(w).components)
 
 
 def test_combine_and_power():

@@ -125,6 +125,27 @@ def test_trace_lines_emitted():
     assert all("labels=" in ln and "coeff=" in ln for ln in lines)
 
 
+def test_state_sum_analyzes_its_input_once(monkeypatch):
+    """Only the entry check analyzes: no labelling's smoothed word or
+    colour part is analyzed again."""
+    trefoil = T.desugar_braid(2, [1, 1, 1], True)
+    unlink = T.parse_morse("cup 1 >\ncap 1 <\n" * 3)
+    real = D.analyze
+    calls = []
+
+    def counting(word):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(J, "analyze", counting)
+    monkeypatch.setattr(D, "analyze", counting)
+    for w in (trefoil, unlink):
+        for n in (2, 3):
+            calls.clear()
+            J.state_sum(w, n)
+            assert calls == [w]
+
+
 def test_state_sum_rejects_bad_inputs():
     core = Word(D.ANNULUS, D.RADIAL, ((D.UP, 1),), ())
     with pytest.raises(J.StateSumError):
