@@ -90,7 +90,7 @@ def cmd_iterate(args, word: Word) -> int:
     return 0
 
 
-def cmd_verify(args, _word=None) -> int:
+def cmd_verify(args, _word) -> int:
     if args.corpus == "builtin":
         entries = corpus.load_builtin()
     else:
@@ -117,9 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the two-colour splitting coproduct.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="diagram file, or - for stdin")
+    def common(p):
+        p.add_argument("input", help="diagram file, or - for stdin")
         p.add_argument("--format", choices=("pretty", "json"), default="pretty")
         p.add_argument("--framing", choices=(diagrams.RADIAL, diagrams.BLACKBOARD),
                        default=None)

@@ -469,12 +469,11 @@ def _normalize_one(events: list, k: int, orients: tuple) -> list:
             Event(CAP, p, LEFTMOVING)]
 
 
-def normalize_crossings(word: Word, ana: Optional[Analysis] = None) -> Word:
+def normalize_crossings(word: Word, ana: Analysis) -> Word:
     """Isotope the word so that every crossing has both strands upward.
 
     A word whose crossings already all point upward is returned as is.
     """
-    ana = ana or analyze(word)
     if all(c.orients == (UP, UP) for c in ana.crossings):
         return word
     by_index = {c.event_index: c for c in ana.crossings}

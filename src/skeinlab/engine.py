@@ -204,10 +204,27 @@ def _naive(word: Word, rng, carried, state) -> Scalar:
     return flipped + cross.sign * (s * smoothed)
 
 
+def eval_terms(terms, n: int, memo: dict) -> Scalar:
+    """Sum of coeff * (value of w_1 in slot 1) * ... * (value of w_n in
+    slot n) over (words, coeff) pairs of closed one-colour plane words.
+
+    This is the one place an evaluated word enters a tensor slot. Each
+    product starts from the coefficient and takes one slot at a time, so
+    it is reduced while it is small."""
+    total = Scalar.zero(n)
+    for words, coeff in terms:
+        value = coeff
+        for slot, w in enumerate(words, start=1):
+            value = value * scalars.tensor_embed(eval_one_colour(w, memo), slot, n)
+        total = total + value
+    return total
+
+
 def eval_multi_colour(word: Word, n: int, memo: Optional[dict] = None) -> Scalar:
-    """Product over the colours present of the one-colour values of the
-    word's colour parts (`diagrams.split_colours`), colour c in tensor
-    slot c of n.
+    """The one-colour values of the word's colour parts
+    (`diagrams.split_colours`) multiplied together, colour c in tensor
+    slot c of n: one term of `eval_terms`, where an absent colour's empty
+    part evaluates to 1.
 
     Mixed crossings are transparent, so the colours decouple exactly. The
     word itself is analyzed once, to validate it and read its colours.
@@ -219,9 +236,4 @@ def eval_multi_colour(word: Word, n: int, memo: Optional[dict] = None) -> Scalar
     colours = {c.colour for c in ana.components}
     if not colours <= set(range(1, n + 1)):
         raise EvalError(f"colours {sorted(colours)} do not fit in 1..{n}")
-    parts = split_colours(word, n)
-    out = Scalar.one(n)
-    for c in sorted(colours):
-        part = eval_one_colour(parts[c - 1], memo)
-        out = out * scalars.tensor_embed(part, c, n)
-    return out
+    return eval_terms([(split_colours(word, n), Scalar.one(n))], n, memo)

@@ -84,12 +84,11 @@ def _pattern_possible(vals, n: int) -> bool:
     return False
 
 
-def enumerate_admissible(word: Word, n: int, ana=None) -> Iterator[dict]:
+def enumerate_admissible(ana, n: int) -> Iterator[dict]:
     """Depth-first enumeration with per-crossing pruning.
 
     Yields maps from edge id to label, in sorted edge order.
     """
-    ana = ana or analyze(word)
     edges = edge_list(ana)
     incident: dict = {e: [] for e in edges}
     for roles in crossing_edges(ana):
@@ -129,10 +128,8 @@ def cutting_vertices(ana, labelling: dict) -> list:
             if _is_cut(*(labelling[e] for e in roles))]
 
 
-def interaction(word: Word, labelling: dict, n: int = 2, ana=None) -> Scalar:
-    """Product of sgn(v)(q - q^-1) over the cutting vertices."""
-    ana = ana or analyze(word)
-    cuts = cutting_vertices(ana, labelling)
+def interaction(ana, cuts: list, n: int) -> Scalar:
+    """Product of sgn(v)(q - q^-1) over the cutting vertices `cuts`."""
     sign = 1
     for i in cuts:
         sign *= ana.crossings[i].sign
@@ -140,12 +137,12 @@ def interaction(word: Word, labelling: dict, n: int = 2, ana=None) -> Scalar:
     return scalars.integer(sign, n) * s ** len(cuts)
 
 
-def smoothed_coloured(word: Word, labelling: dict, ana) -> Word:
-    """Smooth every cutting vertex and colour each arc by its label.
+def smoothed_coloured(word: Word, labelling: dict, ana, cuts: list) -> Word:
+    """Smooth the cutting vertices `cuts` and colour each arc by its label.
     The result is not validated: an admissible labelling gives every cap,
     the smoothing's included, two strands of one label."""
     cut_events = {}
-    for i in cutting_vertices(ana, labelling):
+    for i in cuts:
         x = ana.crossings[i]
         cut_events[x.event_index] = x
     cup_slot = {idx: l for idx, kind, _, l, _ in ana.extrema if kind == CUP}
@@ -189,7 +186,9 @@ def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
     the colour parts of the smoothed, label-coloured word
     (`diagrams.split_colours`), and each label's rotation is read off its
     part's extrema (`diagrams.total_rotation`), so one analysis of the
-    input serves every labelling.
+    input serves every labelling. Enumeration collects one (parts,
+    coefficient) pair per labelling; `engine.eval_terms` evaluates them
+    all once it is done.
 
     At most `DEFAULT_BUDGET` labellings are admitted (10,000; no call in
     the test suite admits more than 210, none in the benchmark more
@@ -210,20 +209,18 @@ def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
         raise _over_budget(word, budget)
     if memo is None:
         memo = {}
-    total = Scalar.zero(n)
-    for count, f in enumerate(enumerate_admissible(word, n, ana), start=1):
+    edges = edge_list(ana)
+    terms = []
+    for count, f in enumerate(enumerate_admissible(ana, n), start=1):
         if count > budget:
             raise _over_budget(word, budget)
-        parts = diagrams.split_colours(smoothed_coloured(word, f, ana), n)
+        cuts = cutting_vertices(ana, f)
+        parts = diagrams.split_colours(smoothed_coloured(word, f, ana, cuts), n)
         rots = [diagrams.total_rotation(part) for part in parts]
-        coeff = interaction(word, f, n, ana) * _rotation_correction(rots, n)
-        value = coeff
-        for c, part in enumerate(parts, start=1):
-            value = value * scalars.tensor_embed(engine.eval_one_colour(part, memo), c, n)
+        coeff = interaction(ana, cuts, n) * _rotation_correction(rots, n)
         if trace is not None:
-            cuts = cutting_vertices(ana, f)
-            labels = [f[e] for e in edge_list(ana)]
+            labels = [f[e] for e in edges]
             trace(f"labels={labels} cuts={cuts} coeff={scalars.pretty(coeff)}")
-        total = total + value
-    return total
+        terms.append((parts, coeff))
+    return engine.eval_terms(terms, n, memo)
 

@@ -2,10 +2,12 @@ import random
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from skeinlab import coproduct as C
+from skeinlab import corpus
 from skeinlab import diagrams as D
 from skeinlab import engine as E
 from skeinlab import jaeger as J
@@ -16,6 +18,8 @@ from skeinlab.diagrams import (ANNULUS, BLACKBOARD, Event, GREEN, PLANE,
 
 import isotopy
 from conftest import random_word
+
+REGRESSIONS = Path(__file__).parent / "regressions"
 
 
 def ring_coproduct_of(w, memo):
@@ -242,8 +246,8 @@ def test_eval_family_base_values():
     core = Word(ANNULUS, BLACKBOARD, ((UP, GREEN),), ())
     element = C.coproduct_diagram(core)
     fam = C.annulus_eval_family(element, 0)
-    assert fam[(0, 0)] == element_eval_via_closure(element)
-    empty = C.CoproductElement(2, ANNULUS, BLACKBOARD)
+    assert fam[(0, 0)] == element_eval_via_closure(element, (0, 0))
+    empty = C.CoproductElement(2, ANNULUS)
     empty.add((Word(ANNULUS, BLACKBOARD), Word(ANNULUS, BLACKBOARD)),
               S.Scalar.one(2))
     fam0 = C.annulus_eval_family(empty, 1)
@@ -253,15 +257,35 @@ def test_eval_family_base_values():
     assert fam0[(1, 1)] == S.delta(1, 2) * S.delta(2, 2)
 
 
-def element_eval_via_closure(element):
+def element_eval_via_closure(element, counts):
+    """Entry `counts` of the eval family, computed apart from it: thread
+    counts[i - 1] meridians through each slot-i word, close it into the
+    plane and evaluate it on a memo of its own."""
+    memo = {}
     total = S.Scalar.zero(element.slots)
     for words, coeff in element.terms.items():
         value = coeff
-        for slot, w in enumerate(words, start=1):
-            h = E.eval_one_colour(D.planar_closure(w))
-            value = value * S.tensor_embed(h, slot, element.slots)
+        for slot, (w, j) in enumerate(zip(words, counts), start=1):
+            for _ in range(j):
+                w = D.thread_meridian(w)
+            h = E.eval_one_colour(D.planar_closure(w), memo)
+            value = value * S.rename_slots(h, (slot,), element.slots)
         total = total + value
     return total
+
+
+def test_eval_family_entries_match_closures():
+    words = [w for _, w in corpus.load_path(str(REGRESSIONS / "annulus-multistrand"))
+             if w.surface == ANNULUS]
+    assert len(words) == 2
+    words += list(_seeded_annulus_words(67, 3))
+    memo = {}
+    for w in words:
+        element = C.coproduct_diagram(w)
+        fam = C.annulus_eval_family(element, 2, memo)
+        assert len(fam) == 9
+        for counts, value in fam.items():
+            assert value == element_eval_via_closure(element, counts), (w, counts)
 
 
 def test_annulus_blackboard_agrees_with_planar_closure():

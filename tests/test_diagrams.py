@@ -167,7 +167,7 @@ def test_normalize_crossings_preserves_invariants():
     rng = random.Random(24)
     for _ in range(25):
         w = random_word(rng)
-        nw = D.normalize_crossings(w)
+        nw = D.normalize_crossings(w, D.analyze(w))
         assert all(c.orients == (D.UP, D.UP) for c in D.analyze(nw).crossings)
         assert D.writhe(nw) == D.writhe(w)
         assert len(D.trace_components(nw)) == len(D.trace_components(w))

@@ -126,7 +126,7 @@ def test_normalization_is_an_isotopy_for_eval():
     rng = random.Random(46)
     for _ in range(20):
         w = random_word(rng)
-        assert E.eval_one_colour(D.normalize_crossings(w)) == E.eval_one_colour(w)
+        assert E.eval_one_colour(D.normalize_crossings(w, D.analyze(w))) == E.eval_one_colour(w)
 
 
 def test_naive_oracle_agrees():

@@ -27,19 +27,19 @@ def brute_force_labellings(word, n):
 
 def test_labelling_count_disjoint_circles():
     w = T.parse_morse("cup 1 >\ncap 1 <\ncup 1 >\ncap 1 <\ncup 1 >\ncap 1 <")
-    assert len(list(J.enumerate_admissible(w, 2))) == 8
+    assert len(list(J.enumerate_admissible(D.analyze(w), 2))) == 8
 
 
 def test_labelling_count_matches_brute_force():
     rng = random.Random(51)
     for _ in range(12):
         w = random_word(rng, max_events=10, max_crossings=4)
-        got = list(J.enumerate_admissible(w, 2))
+        got = list(J.enumerate_admissible(D.analyze(w), 2))
         want = brute_force_labellings(w, 2)
         assert sorted(map(sorted, (g.items() for g in got))) == \
             sorted(map(sorted, (g.items() for g in want)))
     hopf = T.desugar_braid(2, [1, 1], True)
-    assert len(list(J.enumerate_admissible(hopf, 2))) == \
+    assert len(list(J.enumerate_admissible(D.analyze(hopf), 2))) == \
         len(brute_force_labellings(hopf, 2)) == 5
 
 
@@ -47,19 +47,21 @@ def test_single_label_always_unique():
     rng = random.Random(52)
     for _ in range(8):
         w = random_word(rng, max_events=10, max_crossings=4)
-        assert len(list(J.enumerate_admissible(w, 1))) == 1
+        assert len(list(J.enumerate_admissible(D.analyze(w), 1))) == 1
 
 
 def test_interaction_values():
-    kink = T.desugar_braid(2, [1], True)
+    kink = D.analyze(T.desugar_braid(2, [1], True))
     labellings = list(J.enumerate_admissible(kink, 2))
-    coeffs = sorted(S.pretty(J.interaction(kink, f, 2)) for f in labellings)
+    coeffs = sorted(S.pretty(J.interaction(kink, J.cutting_vertices(kink, f), 2))
+                    for f in labellings)
     want = sorted([S.pretty(S.Scalar.one(2)), S.pretty(S.Scalar.one(2)),
                    S.pretty(S.q_minus_qinv(2))])
     assert coeffs == want
-    neg = T.desugar_braid(2, [-1], True)
+    neg = D.analyze(T.desugar_braid(2, [-1], True))
     labellings = list(J.enumerate_admissible(neg, 2))
-    coeffs = {S.pretty(J.interaction(neg, f, 2)) for f in labellings}
+    coeffs = {S.pretty(J.interaction(neg, J.cutting_vertices(neg, f), 2))
+              for f in labellings}
     assert S.pretty(-S.q_minus_qinv(2)) in coeffs
 
 
