@@ -42,6 +42,9 @@ from .diagrams import (ANNULUS, BLACKBOARD, CAP, CUP, Event, GREEN, LEFTMOVING,
 from .scalars import Scalar
 
 
+DEFAULT_BUDGET = 2_000_000
+
+
 class CoproductError(ValueError):
     pass
 
@@ -163,78 +166,105 @@ def coproduct_diagram(word: Word) -> CoproductElement:
     Output terms keep their diagrams un-normalized; evaluation is a
     separate step. On the annulus the word's own framing decides the
     winding dressing, matching the framed coproduct.
+
+    A leaf of the walk adds its sign to an integer coefficient keyed by
+    its start labels, its two slot-event sequences, its power of
+    (q - q^-1) and its a-exponents; after the walk each key becomes one
+    Word pair and one Scalar. At most `DEFAULT_BUDGET` walk calls are made
+    per call.
     """
     ana = analyze(word)
     if len({c.colour for c in ana.components}) > 1:
         raise CoproductError("coproduct input must be single-coloured")
     nw = diagrams.normalize_crossings(word, ana)
-    p = len(nw.profile)
-    out = CoproductElement(2, word.surface)
-    s_unit = scalars.q_minus_qinv(2)
+    events = tuple((e.kind, e.pos, e.tag) for e in nw.events)
+    end = len(events)
+    # (start labels, slot-1 events, slot-2 events) -> {(s_pow, e1, e2): sum of signs}
+    acc: dict = {}
+    limit = DEFAULT_BUDGET
+    left = [limit]  # walk calls left
 
-    def emit(labels, slot_events, sign, s_pow, exps):
-        """Finish one branch: assemble slot words and the coefficient."""
-        words = []
-        for c in (1, 2):
-            prof = tuple((o, GREEN) for (o, _), lab in zip(nw.profile, labels)
-                         if lab == c)
-            words.append(Word(nw.surface, nw.framing, prof, tuple(slot_events[c])))
-        coeff = scalars.monomial(2, sign, a=exps) * s_unit ** s_pow
-        out.add(tuple(words), coeff)
-
-    def local_pos(labels, pos, c):
-        return sum(1 for lab in labels[:pos - 1] if lab == c) + 1
-
-    # Slot words grow with the walk instead of coming from split_colours at
-    # each leaf: re-projecting every leaf doubled the split-coproduct
-    # benchmark round (1.9 s to 4.1 s, 2-core Xeon, CPython 3.11).
-    def walk(i, labels, slot_events, sign, s_pow, exps):
-        if i == len(nw.events):
-            if list(labels) == start_labels:
-                emit(labels, slot_events, sign, s_pow, exps)
+    # Slot-event sequences grow with the walk as plain tuples, and a leaf
+    # only adds its sign into `acc`: no Word, Event or Scalar is built
+    # until the walk ends. The walk visits every branch and recurses, so
+    # the recursion limit bounds its depth, until the merged-state
+    # frontier (ROADMAP item 2) replaces it.
+    def walk(i, labels, slots, sign, s_pow, e1, e2):
+        left[0] -= 1
+        if left[0] < 0:
+            raise CoproductError(
+                f"coproduct_diagram exceeded its budget of {limit} walk "
+                f"calls; offending word: {diagrams.describe_word(word)}")
+        if i == end:
+            if labels == start_labels:
+                coeffs = acc.setdefault((start_labels,) + slots, {})
+                key = (s_pow, e1, e2)
+                coeffs[key] = coeffs.get(key, 0) + sign
             return
-        e = nw.events[i]
-        if e.kind == CUP:
+        kind, pos, tag = events[i]
+        if kind == CUP:
             for c in (1, 2):
-                d = _dressing(c, CUP, e.tag)
-                nl = labels[:e.pos - 1] + [c, c] + labels[e.pos - 1:]
-                se = {1: slot_events[1][:], 2: slot_events[2][:]}
-                se[c].append(Event(CUP, local_pos(labels, e.pos, c), e.tag, GREEN))
-                walk(i + 1, nl, se, sign, s_pow,
-                     (exps[0] + d[0], exps[1] + d[1]))
-        elif e.kind == CAP:
-            c1, c2 = labels[e.pos - 1], labels[e.pos]
-            if c1 != c2:
+                d1, d2 = _dressing(c, CUP, tag)
+                walk(i + 1, labels[:pos - 1] + (c, c) + labels[pos - 1:],
+                     _append(slots, c, (CUP, labels[:pos - 1].count(c) + 1, tag)),
+                     sign, s_pow, e1 + d1, e2 + d2)
+        elif kind == CAP:
+            c = labels[pos - 1]
+            if c != labels[pos]:
                 return
-            d = _dressing(c1, CAP, e.tag)
-            nl = labels[:e.pos - 1] + labels[e.pos + 1:]
-            se = {1: slot_events[1][:], 2: slot_events[2][:]}
-            se[c1].append(Event(CAP, local_pos(labels, e.pos, c1), e.tag))
-            walk(i + 1, nl, se, sign, s_pow,
-                 (exps[0] + d[0], exps[1] + d[1]))
+            d1, d2 = _dressing(c, CAP, tag)
+            walk(i + 1, labels[:pos - 1] + labels[pos + 1:],
+                 _append(slots, c, (CAP, labels[:pos - 1].count(c) + 1, tag)),
+                 sign, s_pow, e1 + d1, e2 + d2)
         else:
-            cl, cr = labels[e.pos - 1], labels[e.pos]
-            nl = labels[:]
-            nl[e.pos - 1], nl[e.pos] = cr, cl
-            se = slot_events
+            cl, cr = labels[pos - 1], labels[pos]
+            swapped = labels[:pos - 1] + (cr, cl) + labels[pos + 1:]
             if cl == cr:
-                se = {1: slot_events[1][:], 2: slot_events[2][:]}
-                se[cl].append(Event(XING, local_pos(labels, e.pos, cl), e.tag))
-            walk(i + 1, nl, se, sign, s_pow, exps)
-            if _cut_eligible(cl, cr, e.tag):
-                xsign = 1 if e.tag == OVER_LEFT else -1
-                walk(i + 1, labels[:], slot_events, sign * xsign, s_pow + 1, exps)
+                walk(i + 1, swapped,
+                     _append(slots, cl, (XING, labels[:pos - 1].count(cl) + 1, tag)),
+                     sign, s_pow, e1, e2)
+            else:
+                walk(i + 1, swapped, slots, sign, s_pow, e1, e2)
+            if _cut_eligible(cl, cr, tag):
+                xsign = 1 if tag == OVER_LEFT else -1
+                walk(i + 1, labels, slots, sign * xsign, s_pow + 1, e1, e2)
 
-    for start in iproduct((1, 2), repeat=p):
-        start_labels = list(start)
-        exps = [0, 0]
-        if nw.surface == ANNULUS and nw.framing == BLACKBOARD:
+    winding = nw.surface == ANNULUS and nw.framing == BLACKBOARD
+    for start_labels in iproduct((1, 2), repeat=len(nw.profile)):
+        e1 = e2 = 0
+        if winding:
             for (o, _), c in zip(nw.profile, start_labels):
-                d = _winding(o, c)
-                exps[0] += d[0]
-                exps[1] += d[1]
-        walk(0, start_labels, {1: [], 2: []}, 1, 0, tuple(exps))
+                d1, d2 = _winding(o, c)
+                e1 += d1
+                e2 += d2
+        walk(0, start_labels, ((), ()), 1, 0, e1, e2)
+
+    out = CoproductElement(2, word.surface)
+    interned: dict = {}  # one Event per distinct (kind, pos, tag)
+
+    def event(ev):
+        return interned.get(ev) or interned.setdefault(ev, Event(*ev))
+
+    while acc:
+        (labels, *slots), coeffs = acc.popitem()
+        terms: dict = {}
+        for (s_pow, e1, e2), c in coeffs.items():
+            for (eq, _, _), b in scalars._s_power_terms(s_pow, 2).items():
+                key = (eq, e1, e2)
+                terms[key] = terms.get(key, 0) + c * b
+        words = tuple(
+            Word(nw.surface, nw.framing,
+                 tuple((o, GREEN) for (o, _), lab in zip(nw.profile, labels) if lab == c),
+                 tuple(map(event, seq)))
+            for c, seq in zip((1, 2), slots))
+        out.add(words, Scalar(2, terms))
     return out
+
+
+def _append(slots: tuple, c: int, ev: tuple) -> tuple:
+    """The pair of slot-event sequences with `ev` added to slot c."""
+    s1, s2 = slots
+    return (s1 + (ev,), s2) if c == 1 else (s1, s2 + (ev,))
 
 
 def counit_word(word: Word) -> Scalar:

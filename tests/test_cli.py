@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinlab import cli, jaeger
+from skeinlab import cli, coproduct, jaeger
 
 REGRESSIONS = Path(__file__).parent / "regressions"
 
@@ -194,6 +194,19 @@ def test_verify_coassoc_budget_on_nine_circle_unlink(tmp_path, capsys):
     assert elapsed < 1.0  # refused before enumerating
     assert cli.main(["verify", "jaeger", "--corpus", str(corpus)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "ok: 1 checks, 0 failures"
+
+
+def test_coproduct_budget_on_six_circle_unlink(tmp_path, capsys, monkeypatch):
+    # 6 split circles take 127 walk calls, over a budget of 100
+    monkeypatch.setattr(coproduct, "DEFAULT_BUDGET", 100)
+    path = tmp_path / "unlink-6.mw"
+    path.write_text("surface plane\n" + "cup 1 >\ncap 1 <\n" * 6, encoding="utf-8")
+    assert cli.main(["coproduct", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    assert err.startswith("skeinlab: error: coproduct_diagram exceeded its "
+                          "budget of 100 walk calls")
+    assert "12 events" in err
 
 
 def _one_line_error(capsys, argv) -> str:

@@ -1,3 +1,4 @@
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import replace
@@ -159,6 +160,63 @@ def test_framing_remark_term_level():
     coeffs = sorted(S.pretty(c) for c in got_b.terms.values())
     assert coeffs == sorted([S.pretty(S.a_power(2, 1, 2)),
                              S.pretty(S.a_power(1, -1, 2))])
+
+
+def _circles(orients):
+    """Split circles side by side: '>' counterclockwise, '<' clockwise."""
+    events = []
+    for o in orients:
+        events += [Event(CUP, 1, o), Event(CAP, 1, "<" if o == ">" else ">")]
+    return Word(events=tuple(events))
+
+
+def test_ccw_unlink_terms_are_binomial():
+    # each ccw circle goes to slot 1 with a_2 or to slot 2 with a_1^-1
+    for k in range(1, 9):
+        element = C.coproduct_diagram(_circles(">" * k))
+        assert element.terms == {
+            (_circles(">" * j), _circles(">" * (k - j))):
+                S.monomial(2, math.comb(k, j), a=[-(k - j), j])
+            for j in range(k + 1)}, k
+
+
+def test_unlink_value_is_the_power_of_the_circle_coproduct():
+    circle = (S.delta(1, 2) * S.a_power(2, 1, 2)
+              + S.delta(2, 2) * S.a_power(1, -1, 2))
+    memo = {}
+    for k in range(1, 7):
+        for orients in (">" * k, "<" * k, ("><" * k)[:k]):
+            value = C.coproduct_diagram(_circles(orients)).evaluate(memo)
+            assert value == circle ** k, orients
+
+
+def test_two_strand_annulus_profile_terms():
+    for framing, coeffs in ((RADIAL, ([0, 0], [0, 0], [0, 0])),
+                            (BLACKBOARD, ([0, 2], [-1, 1], [-2, 0]))):
+        def strands(n):
+            return Word(ANNULUS, framing, ((UP, GREEN),) * n, ())
+        element = C.coproduct_diagram(strands(2))
+        assert element.terms == {
+            (strands(2), strands(0)): S.monomial(2, 1, a=coeffs[0]),
+            (strands(1), strands(1)): S.monomial(2, 2, a=coeffs[1]),
+            (strands(0), strands(2)): S.monomial(2, 1, a=coeffs[2]),
+        }, framing
+
+
+def test_box_walk_does_no_per_leaf_scalar_work(monkeypatch):
+    # a machine-independent guard: one Scalar per output term, however
+    # many of the 2^k leaves land on it
+    made = []
+    init = S.Scalar.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(S.Scalar, "__init__", counted)
+    for orients in (">" * 8, "><" * 4):
+        made.clear()
+        element = C.coproduct_diagram(_circles(orients))
+        assert len(made) == len(element.terms), orients
 
 
 def test_path_agreement_on_corpus(plane_corpus, shared_memo):
