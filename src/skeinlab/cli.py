@@ -22,22 +22,6 @@ class CliError(ValueError):
     pass
 
 
-def _load_word(path: str, framing_flag) -> Word:
-    text = corpus.read_text(path)
-    word = textio.parse_morse(text)
-    if word.surface == ANNULUS:
-        declared = textio.framing_declared(text)
-        if framing_flag is None and not declared:
-            raise CliError(
-                "annulus input carries no framing header; pass --framing "
-                "radial or --framing blackboard explicitly")
-        if framing_flag is not None:
-            word = Word(word.surface, framing_flag, word.profile, word.events)
-    elif framing_flag == diagrams.RADIAL:
-        raise CliError("radial framing is only legal on annulus inputs")
-    return word
-
-
 def _emit(value, fmt: str) -> None:
     if isinstance(value, coproduct.CoproductElement):
         if fmt == "json":
@@ -122,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("pretty", "json"), default="pretty")
         p.add_argument("--framing", choices=(diagrams.RADIAL, diagrams.BLACKBOARD),
                        default=None)
-        p.add_argument("--deterministic", action="store_true",
-                       help="accepted for compatibility; output is always "
-                            "byte-stable")
 
     p = sub.add_parser("eval", help="evaluate a closed plane diagram")
     common(p)
@@ -169,7 +150,7 @@ def main(argv=None) -> int:
     word = None
     try:
         if args.command != "verify":
-            word = _load_word(args.input, args.framing)
+            word = textio.parse_morse(corpus.read_text(args.input), args.framing)
         return args.func(args, word)
     except RecursionError:
         size = "" if word is None else f" on a {len(word.events)}-event diagram"

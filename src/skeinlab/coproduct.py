@@ -98,11 +98,6 @@ class CoproductElement:
                 out.add(words, c1 * c2)
         return out
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CoproductElement)
-                and self.slots == other.slots and self.surface == other.surface
-                and self.terms == other.terms)
-
     def evaluate(self, memo: Optional[dict] = None) -> Scalar:
         """The plane element's value: its own terms through
         `engine.eval_terms`, slot word i in tensor slot i."""
@@ -171,7 +166,7 @@ def coproduct_diagram(word: Word) -> CoproductElement:
     its start labels, its two slot-event sequences, its power of
     (q - q^-1) and its a-exponents; after the walk each key becomes one
     Word pair and one Scalar. At most `DEFAULT_BUDGET` walk calls are made
-    per call.
+    per call; the next one raises `engine.BudgetError`.
     """
     ana = analyze(word)
     if len({c.colour for c in ana.components}) > 1:
@@ -192,9 +187,7 @@ def coproduct_diagram(word: Word) -> CoproductElement:
     def walk(i, labels, slots, sign, s_pow, e1, e2):
         left[0] -= 1
         if left[0] < 0:
-            raise CoproductError(
-                f"coproduct_diagram exceeded its budget of {limit} walk "
-                f"calls; offending word: {diagrams.describe_word(word)}")
+            raise engine.BudgetError("coproduct_diagram", limit, "walk calls", word)
         if i == end:
             if labels == start_labels:
                 coeffs = acc.setdefault((start_labels,) + slots, {})

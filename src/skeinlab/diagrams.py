@@ -72,11 +72,6 @@ class Event:
     tag: str
     colour: int = GREEN  # meaningful on cups only
 
-    def __str__(self):
-        if self.kind == CUP:
-            return f"cup {self.pos} {self.tag} c{self.colour}"
-        return f"{self.kind} {self.pos} {self.tag}"
-
 
 @dataclass(frozen=True)
 class Word:
@@ -175,7 +170,6 @@ class Analysis:
     its trace follow this numbering. Which edge plays which role at a
     crossing is the state sum's business (`jaeger.crossing_edges`).
     """
-    word: Word
     n_slots: int
     slot_orient: list
     slot_colour: list
@@ -209,7 +203,7 @@ def analyze(word: Word) -> Analysis:
     if word.surface == PLANE and word.profile:
         raise DiagramError("plane words must have an empty boundary profile")
 
-    ana = Analysis(word=word, n_slots=0, slot_orient=[], slot_colour=[],
+    ana = Analysis(n_slots=0, slot_orient=[], slot_colour=[],
                    crossings=[], extrema=[], bottom=[], top=[], nxt=[])
 
     def new_slot(orient, colour):

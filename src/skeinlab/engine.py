@@ -47,12 +47,18 @@ DEFAULT_BUDGET = 2_000_000
 
 
 class BudgetError(RuntimeError):
-    def __init__(self, word: Word, budget: int):
+    """A stage that ran past its work limit. Every budget in the package
+    reports through this one type: the skein resolver and `naive_eval`
+    (nodes), `coproduct.coproduct_diagram` (walk calls) and
+    `jaeger.state_sum` (labellings). The message names the stage, the
+    limit and the offending word; `word` keeps the full word and `budget`
+    the limit."""
+
+    def __init__(self, stage: str, limit: int, unit: str, word: Word):
         self.word = word
-        self.budget = budget
-        super().__init__(
-            f"skein resolution exceeded its budget of {budget} nodes; "
-            f"offending word: {diagrams.describe_word(word)}")
+        self.budget = limit
+        super().__init__(f"{stage} exceeded its budget of {limit} {unit}; "
+                         f"offending word: {diagrams.describe_word(word)}")
 
 
 class EvalError(ValueError):
@@ -142,7 +148,7 @@ def _resolve(word: Word, memo: dict, state: list) -> list:
         return hit
     state[0] -= 1
     if state[0] < 0:
-        raise BudgetError(word, state[1])
+        raise BudgetError("skein resolution", state[1], "nodes", word)
     ana = analyze(word)
     bad = _first_bad(ana)
     if bad is None:
@@ -174,7 +180,7 @@ def naive_eval(word: Word, rng: Optional[random.Random] = None) -> Scalar:
 def _naive(word: Word, rng, carried, state) -> Scalar:
     state[0] -= 1
     if state[0] < 0:
-        raise BudgetError(word, state[1])
+        raise BudgetError("skein resolution", state[1], "nodes", word)
     ana = analyze(word)
     if carried is None:
         order = list(range(len(ana.components)))

@@ -40,12 +40,6 @@ class StateSumError(ValueError):
     pass
 
 
-def _over_budget(word: Word, budget: int) -> StateSumError:
-    return StateSumError(
-        f"jaeger.state_sum exceeded its budget of {budget} labellings; "
-        f"offending word: {diagrams.describe_word(word)}")
-
-
 def edge_list(ana) -> list:
     return sorted(set(ana.slot_edge))
 
@@ -195,9 +189,10 @@ def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
     than 30).
     Colouring each component in one label is always admissible, so a
     diagram with n^(components) > DEFAULT_BUDGET is refused before
-    enumerating: an unlink of 14 circles at n = 2, of 9 at n = 3. The
-    limit holds wherever the state sum runs, in `verify jaeger` and
-    `verify coassoc` as well as in the `jaeger` command.
+    enumerating: an unlink of 14 circles at n = 2, of 9 at n = 3. Both
+    refusals raise `engine.BudgetError`. The limit holds wherever the
+    state sum runs, in `verify jaeger` and `verify coassoc` as well as in
+    the `jaeger` command.
     """
     budget = DEFAULT_BUDGET
     if word.surface != PLANE:
@@ -206,14 +201,14 @@ def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
     if len({c.colour for c in ana.components}) > 1:
         raise StateSumError("state sum input must be single-coloured")
     if n ** len(ana.components) > budget:
-        raise _over_budget(word, budget)
+        raise engine.BudgetError("jaeger.state_sum", budget, "labellings", word)
     if memo is None:
         memo = {}
     edges = edge_list(ana)
     terms = []
     for count, f in enumerate(enumerate_admissible(ana, n), start=1):
         if count > budget:
-            raise _over_budget(word, budget)
+            raise engine.BudgetError("jaeger.state_sum", budget, "labellings", word)
         cuts = cutting_vertices(ana, f)
         parts = diagrams.split_colours(smoothed_coloured(word, f, ana, cuts), n)
         rots = [diagrams.total_rotation(part) for part in parts]

@@ -84,14 +84,19 @@ def _tokens(line: str):
     return line.split("#", 1)[0].split()
 
 
-def parse_morse(text: str) -> Word:
-    """Parse the grammar above into a validated word."""
+def parse_morse(text: str, framing: Optional[str] = None) -> Word:
+    """Parse the grammar above into a validated word.
+
+    This is the one place the framing rule is applied, for every input: a
+    given `framing` replaces the header's, an annulus word with neither is
+    refused (its coproduct depends on the framing, so there is no silent
+    default), and a plane word without one is blackboard.
+    """
     surface = PLANE
-    framing: Optional[str] = None
+    declared: Optional[str] = None
     profile = []
     events = []
     event_lines = []
-    braid_word: Optional[Word] = None
     seen_event = False
     seen_braid = False
 
@@ -111,7 +116,7 @@ def parse_morse(text: str) -> Word:
             if len(toks) != 2 or toks[1] not in (BLACKBOARD, RADIAL):
                 raise GrammarError("bad framing header", lineno,
                                    expected=(BLACKBOARD, RADIAL))
-            framing = toks[1]
+            declared = toks[1]
         elif head == "profile":
             if seen_event or seen_braid:
                 raise SemanticError("profile header after body", lineno)
@@ -168,49 +173,37 @@ def parse_morse(text: str) -> Word:
             except ValueError:
                 raise LexicalError("braid letters must be signed integers", lineno) from None
             try:
-                braid_word = desugar_braid(n, gens, close)
+                braid = desugar_braid(n, gens, close)
             except SemanticError as err:
                 raise SemanticError(str(err), lineno) from None
+            if profile:
+                raise SemanticError("braid clause and explicit profile conflict")
+            if braid.surface != surface:
+                raise SemanticError("closed braid is a plane word" if close else
+                                    "open braid is an annulus word; "
+                                    "say 'surface annulus' or close it")
+            profile, events = braid.profile, braid.events
         else:
             raise GrammarError(f"unknown directive {head!r}", lineno,
                                expected=("surface", "framing", "profile",
                                          CUP, CAP, XING, "braid"))
 
-    if braid_word is not None:
-        if profile:
-            raise SemanticError("braid clause and explicit profile conflict")
-        word = braid_word
-        if word.surface == ANNULUS and surface == PLANE:
-            if word.profile:
-                raise SemanticError("open braid is an annulus word; "
-                                    "say 'surface annulus' or close it")
-            word = Word(surface=PLANE, framing=BLACKBOARD, events=word.events)
-        elif surface == ANNULUS and word.surface == PLANE:
-            raise SemanticError("closed braid is a plane word")
-        if framing is not None:
-            word = Word(surface=word.surface, framing=framing,
-                        profile=word.profile, events=word.events)
-    else:
-        word = Word(surface=surface,
-                    framing=framing or BLACKBOARD,
-                    profile=tuple(profile), events=tuple(events))
+    framing = framing or declared
+    if framing is None:
+        if surface == ANNULUS:
+            raise SemanticError(
+                "annulus input carries no framing header; add 'framing radial' "
+                "or 'framing blackboard' (single-file commands also take --framing)")
+        framing = BLACKBOARD
+    word = Word(surface, framing, tuple(profile), tuple(events))
     try:
         diagrams.validate(word)
     except diagrams.DiagramError as err:
         line = 0
-        if braid_word is None and err.index is not None and err.index < len(event_lines):
+        if err.index is not None and err.index < len(event_lines):
             line = event_lines[err.index]
         raise SemanticError(err.message, line) from None
     return word
-
-
-def framing_declared(text: str) -> bool:
-    """Whether the source carries an explicit framing header."""
-    for raw in text.splitlines():
-        toks = _tokens(raw)
-        if toks and toks[0].lower() == "framing":
-            return True
-    return False
 
 
 def render_morse(word: Word) -> str:

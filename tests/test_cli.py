@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinlab import cli, coproduct, jaeger
+from skeinlab import cli, coproduct, engine, jaeger, textio
 
 REGRESSIONS = Path(__file__).parent / "regressions"
 
@@ -67,6 +67,18 @@ def test_coproduct_requires_framing_on_annulus(core_file, capsys):
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize("identity", ["mult", "framing-remark"])
+def test_verify_corpus_requires_framing_on_annulus(tmp_path, capsys, identity):
+    # a corpus has no --framing: its annulus files must declare one
+    core = tmp_path / "core.mw"
+    core.write_text("surface annulus\nprofile ^g\n", encoding="utf-8")
+    err = _one_line_error(capsys, ["verify", identity, "--corpus", str(tmp_path)])
+    assert f"{core}: " in err and "framing" in err
+    core.write_text("surface annulus\nframing radial\nprofile ^g\n", encoding="utf-8")
+    assert cli.main(["verify", identity, "--corpus", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" 0 failures")
+
+
 def test_radial_flag_rejected_on_plane(trefoil_file, capsys):
     assert cli.main(["eval", trefoil_file, "--framing", "radial"]) == 1
     assert "radial" in capsys.readouterr().err
@@ -101,9 +113,9 @@ def test_verify_corpus_path(tmp_path, capsys):
 
 
 def test_deterministic_output_stable(trefoil_file, capsys):
-    cli.main(["jaeger", trefoil_file, "--deterministic"])
+    cli.main(["jaeger", trefoil_file])
     first = capsys.readouterr().out
-    cli.main(["jaeger", trefoil_file, "--deterministic"])
+    cli.main(["jaeger", trefoil_file])
     assert capsys.readouterr().out == first
 
 
@@ -207,6 +219,33 @@ def test_coproduct_budget_on_six_circle_unlink(tmp_path, capsys, monkeypatch):
     assert err.startswith("skeinlab: error: coproduct_diagram exceeded its "
                           "budget of 100 walk calls")
     assert "12 events" in err
+
+
+BUDGETS = {
+    # stage: (module with DEFAULT_BUDGET, small limit, unit, command,
+    #         document, library call)
+    "skein resolution": (engine, 3, "nodes", "eval",
+                         "braid 2: 1 1 1 1 1 ; close\n", engine.eval_one_colour),
+    "coproduct_diagram": (coproduct, 100, "walk calls", "coproduct",
+                          "cup 1 >\ncap 1 <\n" * 6, coproduct.coproduct_diagram),
+    "jaeger.state_sum": (jaeger, 4, "labellings", "jaeger",
+                         "braid 2: 1 1 ; close\n", jaeger.state_sum),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(BUDGETS))
+def test_budget_trip_is_one_error(tmp_path, capsys, monkeypatch, stage):
+    module, limit, unit, command, doc, library_call = BUDGETS[stage]
+    monkeypatch.setattr(module, "DEFAULT_BUDGET", limit)
+    path = tmp_path / "in.mw"
+    path.write_text(doc, encoding="utf-8")
+    err = _one_line_error(capsys, [command, str(path)])
+    assert len(err.encode()) < 300
+    assert err.startswith(f"skeinlab: error: {stage} exceeded its budget of "
+                          f"{limit} {unit}; offending word: ")
+    with pytest.raises(engine.BudgetError) as trip:
+        library_call(textio.parse_morse(doc))
+    assert trip.value.budget == limit and str(trip.value) in err
 
 
 def _one_line_error(capsys, argv) -> str:

@@ -164,11 +164,11 @@ def test_state_sum_budget(monkeypatch):
     monkeypatch.setattr(J, "DEFAULT_BUDGET", 5)
     assert J.state_sum(hopf, 2) == want
     monkeypatch.setattr(J, "DEFAULT_BUDGET", 4)
-    with pytest.raises(J.StateSumError, match="budget of 4 labellings"):
+    with pytest.raises(E.BudgetError, match="budget of 4 labellings"):
         J.state_sum(hopf, 2)
     # 2^3 single-label colourings exceed 7: refused before enumerating
     circles = T.parse_morse("cup 1 >\ncap 1 <\ncup 1 >\ncap 1 <\ncup 1 >\ncap 1 <")
     monkeypatch.setattr(J, "DEFAULT_BUDGET", 7)
     monkeypatch.setattr(J, "enumerate_admissible", None)
-    with pytest.raises(J.StateSumError, match="^jaeger.state_sum exceeded"):
+    with pytest.raises(E.BudgetError, match="^jaeger.state_sum exceeded"):
         J.state_sum(circles, 2)

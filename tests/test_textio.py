@@ -74,8 +74,25 @@ def test_headers_and_colours():
                       "x 1 o\nx 1 u")
     assert w.framing == D.RADIAL
     assert w.profile == ((D.UP, GREEN), (D.DOWN, RED))
-    assert T.framing_declared("framing radial\n")
-    assert not T.framing_declared("surface annulus\nprofile ^g\n")
+    # the framing rule, for every input
+    core = "surface annulus\nframing radial\nprofile ^g\n"
+    assert T.parse_morse(core).framing == D.RADIAL
+    # a given framing replaces the declared one
+    assert T.parse_morse(core, D.BLACKBOARD) == Word(D.ANNULUS, D.BLACKBOARD,
+                                                     ((D.UP, GREEN),), ())
+    bare = "surface annulus\nprofile ^g\n"
+    assert T.parse_morse(bare, D.RADIAL) == T.parse_morse(core)
+    with pytest.raises(T.SemanticError, match="^annulus input carries no framing header"):
+        T.parse_morse(bare)
+    # the same holds for an open braid
+    with pytest.raises(T.SemanticError, match="no framing header"):
+        T.parse_morse("surface annulus\nbraid 2: 1")
+    braid = T.parse_morse("surface annulus\nbraid 2: 1", D.RADIAL)
+    assert braid.framing == D.RADIAL and braid.profile == ((D.UP, GREEN),) * 2
+    # a plane word is blackboard unless told otherwise, and never radial
+    assert T.parse_morse("cup 1 >\ncap 1 <").framing == D.BLACKBOARD
+    with pytest.raises(T.SemanticError, match="radial framing is only legal"):
+        T.parse_morse("cup 1 >\ncap 1 <", D.RADIAL)
 
 
 def test_coloured_cup_token():
