@@ -80,7 +80,8 @@ def cmd_verify(args, _word) -> int:
     else:
         entries = corpus.load_path(args.corpus)
     idents = IDENTITIES if args.identity == "all" else (args.identity,)
-    reports = [coproduct.verify(i, entries) for i in idents]
+    memo = {}  # one for every suite: a word resolved once serves them all
+    reports = [coproduct.verify(i, entries, memo) for i in idents]
     failures = 0
     for report in reports:
         print(report.text())

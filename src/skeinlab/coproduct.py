@@ -70,22 +70,6 @@ class CoproductElement:
         else:
             self.terms[words] = new
 
-    def __add__(self, other: "CoproductElement") -> "CoproductElement":
-        if (self.slots, self.surface) != (other.slots, other.surface):
-            raise CoproductError("cannot add elements of different shapes")
-        out = CoproductElement(self.slots, self.surface)
-        for t, c in self.terms.items():
-            out.add(t, c)
-        for t, c in other.terms.items():
-            out.add(t, c)
-        return out
-
-    def scale(self, coeff: Scalar) -> "CoproductElement":
-        out = CoproductElement(self.slots, self.surface)
-        for t, c in self.terms.items():
-            out.add(t, c * coeff)
-        return out
-
     def __mul__(self, other: "CoproductElement") -> "CoproductElement":
         """Slot-wise product: disjoint union on the plane, stacking on the
         annulus."""

@@ -158,17 +158,16 @@ class Crossing:
 
 @dataclass
 class Analysis:
-    """Full combinatorial scan of a valid word.
+    """Full combinatorial scan of a valid word: its slots, crossings and
+    components.
 
     Slots are numbered in the order the scan creates them: the bottom
     profile left to right, then per event the cup's left and right strand
     or the crossing's above-left and above-right strand. `nxt` maps each
     slot to the next one along the orientation, so it permutes the slots.
-    A component is a cycle of `nxt` and an edge is a run of a cycle
-    between two crossing passages; each is named by its least slot, so
-    components come in basepoint order and the state sum's edge order and
-    its trace follow this numbering. Which edge plays which role at a
-    crossing is the state sum's business (`jaeger.crossing_edges`).
+    A component is a cycle of `nxt`, named by its least slot (its
+    basepoint), so components come in basepoint order. Edges are the
+    state sum's and are read off the same cycles there (`jaeger.slot_edges`).
     """
     n_slots: int
     slot_orient: list
@@ -180,17 +179,13 @@ class Analysis:
     nxt: list              # slot -> (next slot, passage or None)
     components: list = field(default_factory=list)
     slot_component: list = field(default_factory=list)  # slot -> component index
-    slot_edge: list = field(default_factory=list)       # slot -> least slot of its edge
-
-    def edge(self, slot: int) -> int:
-        return self.slot_edge[slot]
 
     def component_of_slot(self, slot: int) -> Component:
         return self.components[self.slot_component[slot]]
 
 
 def analyze(word: Word) -> Analysis:
-    """Validate a word and extract slots, edges, components and crossings.
+    """Validate a word and extract slots, components and crossings.
 
     Raises DiagramError with the offending event index on invalid input.
     """
@@ -304,33 +299,18 @@ def analyze(word: Word) -> Analysis:
             else:
                 ana.nxt[b] = (t, None)
 
-    # Components and edges, each named by its least slot: ascending slots
-    # meet every cycle first at its least slot, and a cycle's runs are cut
-    # after each crossing passage, starting after the last one so that no
-    # run wraps around.
+    # Components, each named by its least slot: ascending slots meet
+    # every cycle first at its least slot.
     slot_component = ana.slot_component = [-1] * ana.n_slots
-    slot_edge = ana.slot_edge = [0] * ana.n_slots
     basepoints = []
     for start in range(ana.n_slots):
         if slot_component[start] >= 0:
             continue
-        cycle = []
         s = start
         while slot_component[s] < 0:
             slot_component[s] = len(basepoints)
-            cycle.append(s)
             s = ana.nxt[s][0]
         basepoints.append(start)
-        k = max((i + 1 for i, s in enumerate(cycle) if ana.nxt[s][1] is not None),
-                default=0)
-        run = []
-        for s in cycle[k:] + cycle[:k]:
-            run.append(s)
-            if ana.nxt[s][1] is not None or len(run) == len(cycle):
-                least = min(run)
-                for r in run:
-                    slot_edge[r] = least
-                run = []
 
     # Components with rotation, writhe and winding bookkeeping.
     turn = [0] * len(basepoints)
@@ -440,10 +420,9 @@ def smooth_crossing(word: Word, cross: Crossing) -> Word:
     return replace(word, events=tuple(events))
 
 
-def _normalize_one(events: list, k: int, orients: tuple) -> list:
-    """Rewrite the crossing at index k into cup/cap conjugates of an
-    up-up crossing; returns the replacement event list."""
-    e = events[k]
+def _normalize_one(e: Event, orients: tuple) -> list:
+    """Rewrite the crossing event e into cup/cap conjugates of an up-up
+    crossing; returns the replacement event list."""
     p = e.pos
     flip = {OVER_LEFT: OVER_RIGHT, OVER_RIGHT: OVER_LEFT}
     if orients == (UP, UP):
@@ -474,7 +453,7 @@ def normalize_crossings(word: Word, ana: Analysis) -> Word:
     events = []
     for idx, e in enumerate(word.events):
         if e.kind == XING and by_index[idx].orients != (UP, UP):
-            events.extend(_normalize_one(list(word.events), idx, by_index[idx].orients))
+            events.extend(_normalize_one(e, by_index[idx].orients))
         else:
             events.append(e)
     return replace(word, events=tuple(events))

@@ -1,13 +1,15 @@
 """Composition state sum over admissible edge labellings.
 
-Edges are the maximal strand arcs between crossings, named by least
-slot as in `diagrams.Analysis`; this module alone assigns them their
-roles at a crossing (`crossing_edges`). A labelling with
-values in 1..n is admissible when every crossing either preserves labels
-along both strands or is a cutting vertex: the 0-smoothing joins the
-over-in edge to the under-out edge and the under-in edge to the over-out
-edge, and at a cutting vertex the under-in/over-out pair carries the
-strictly larger label. A cutting vertex contributes sgn(v)(q - q^-1) to
+Edges are the maximal strand arcs between crossings. This module alone
+names them (`slot_edges`: each edge by its least slot in the numbering of
+`diagrams.Analysis`), orders them (ascending id, the order of the
+enumeration and of the `--trace` lines) and assigns their roles at a
+crossing (`crossing_edges`); `state_sum` derives ids and roles once per
+call. A labelling with values in 1..n is admissible when every crossing
+either preserves labels along both strands or is a cutting vertex: the
+0-smoothing joins the over-in edge to the under-out edge and the under-in
+edge to the over-out edge, and at a cutting vertex the under-in/over-out
+pair carries the strictly larger label. A cutting vertex contributes sgn(v)(q - q^-1) to
 the interaction and is replaced by the smoothing before the word is split
 into its label subdiagrams.
 
@@ -40,20 +42,43 @@ class StateSumError(ValueError):
     pass
 
 
-def edge_list(ana) -> list:
-    return sorted(set(ana.slot_edge))
+def slot_edges(ana) -> list:
+    """Each slot's edge id: the least slot of its run of a component's
+    cycle between two crossing passages. Each cycle is walked from its
+    basepoint and cut after every passage, starting after the last one so
+    that no run wraps around."""
+    nxt = ana.nxt
+    edge = [0] * ana.n_slots
+    for comp in ana.components:
+        cycle = [comp.basepoint]
+        s = nxt[comp.basepoint][0]
+        while s != comp.basepoint:
+            cycle.append(s)
+            s = nxt[s][0]
+        k = max((i + 1 for i, s in enumerate(cycle) if nxt[s][1] is not None),
+                default=0)
+        run = []
+        for s in cycle[k:] + cycle[:k]:
+            run.append(s)
+            if nxt[s][1] is not None or len(run) == len(cycle):
+                least = min(run)
+                for r in run:
+                    edge[r] = least
+                run = []
+    return edge
 
 
-def crossing_edges(ana) -> list:
+def crossing_edges(ana, edge: list) -> list:
     """The edges meeting at each crossing, in crossing order, as
-    (over-in, under-in, over-out, under-out) tuples of edge ids."""
+    (over-in, under-in, over-out, under-out) tuples of the edge ids
+    `edge` (`slot_edges`)."""
     roles = []
     for c in ana.crossings:
         x, y, u, v = c.slots
         slash = (x, v) if c.orients[0] == UP else (v, x)
         back = (y, u) if c.orients[1] == UP else (u, y)
         (a, cc), (b, d) = (slash, back) if c.tag == OVER_LEFT else (back, slash)
-        roles.append((ana.edge(a), ana.edge(b), ana.edge(cc), ana.edge(d)))
+        roles.append((edge[a], edge[b], edge[cc], edge[d]))
     return roles
 
 
@@ -78,21 +103,22 @@ def _pattern_possible(vals, n: int) -> bool:
     return False
 
 
-def enumerate_admissible(ana, n: int) -> Iterator[dict]:
-    """Depth-first enumeration with per-crossing pruning.
+def enumerate_admissible(edges: list, roles: list, n: int) -> Iterator[dict]:
+    """Depth-first enumeration with per-crossing pruning over the edge
+    ids `edges`, ascending, and the crossing roles `roles`
+    (`crossing_edges`).
 
     Yields maps from edge id to label, in sorted edge order.
     """
-    edges = edge_list(ana)
     incident: dict = {e: [] for e in edges}
-    for roles in crossing_edges(ana):
-        for e in set(roles):
-            incident[e].append(roles)
+    for r in roles:
+        for e in set(r):
+            incident[e].append(r)
     assignment: dict = {}
 
     def ok_around(edge) -> bool:
-        for roles in incident[edge]:
-            vals = tuple(assignment.get(e) for e in roles)
+        for r in incident[edge]:
+            vals = tuple(assignment.get(e) for e in r)
             if not _pattern_possible(vals, n):
                 return False
         return True
@@ -117,9 +143,9 @@ def _is_cut(va, vb, vc, vd) -> bool:
     return va == vd and vb == vc and vb > va
 
 
-def cutting_vertices(ana, labelling: dict) -> list:
-    return [i for i, roles in enumerate(crossing_edges(ana))
-            if _is_cut(*(labelling[e] for e in roles))]
+def cutting_vertices(roles: list, labelling: dict) -> list:
+    """The indices of the crossings, with roles `roles`, that cut."""
+    return [i for i, r in enumerate(roles) if _is_cut(*(labelling[e] for e in r))]
 
 
 def interaction(ana, cuts: list, n: int) -> Scalar:
@@ -131,8 +157,10 @@ def interaction(ana, cuts: list, n: int) -> Scalar:
     return scalars.integer(sign, n) * s ** len(cuts)
 
 
-def smoothed_coloured(word: Word, labelling: dict, ana, cuts: list) -> Word:
-    """Smooth the cutting vertices `cuts` and colour each arc by its label.
+def smoothed_coloured(word: Word, labelling: dict, ana, edge: list,
+                      cuts: list) -> Word:
+    """Smooth the cutting vertices `cuts` and colour each arc by the label
+    of its edge (`edge` maps slots to edge ids, `slot_edges`).
     The result is not validated: an admissible labelling gives every cap,
     the smoothing's included, two strands of one label."""
     cut_events = {}
@@ -143,7 +171,7 @@ def smoothed_coloured(word: Word, labelling: dict, ana, cuts: list) -> Word:
     events = []
     for idx, e in enumerate(word.events):
         if e.kind == CUP:
-            lab = labelling[ana.edge(cup_slot[idx])]
+            lab = labelling[edge[cup_slot[idx]]]
             events.append(Event(CUP, e.pos, e.tag, lab))
         elif e.kind == XING:
             x = cut_events.get(idx)
@@ -155,12 +183,12 @@ def smoothed_coloured(word: Word, labelling: dict, ana, cuts: list) -> Word:
                     pass
                 else:
                     tag = diagrams.RIGHTMOVING if (o_l, o_r) == (UP, DOWN) else diagrams.LEFTMOVING
-                    cup_lab = labelling[ana.edge(x.slots[2])]
+                    cup_lab = labelling[edge[x.slots[2]]]
                     events.append(Event(diagrams.CAP, e.pos, tag))
                     events.append(Event(CUP, e.pos, tag, cup_lab))
         else:
             events.append(e)
-    profile = tuple((o, labelling[ana.edge(s)])
+    profile = tuple((o, labelling[edge[s]])
                     for (o, _), s in zip(word.profile, ana.bottom))
     return Word(word.surface, word.framing, profile, tuple(events))
 
@@ -180,9 +208,9 @@ def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
     the colour parts of the smoothed, label-coloured word
     (`diagrams.split_colours`), and each label's rotation is read off its
     part's extrema (`diagrams.total_rotation`), so one analysis of the
-    input serves every labelling. Enumeration collects one (parts,
-    coefficient) pair per labelling; `engine.eval_terms` evaluates them
-    all once it is done.
+    input, and one derivation of its edges and their roles, serve every
+    labelling. Enumeration collects one (parts, coefficient) pair per
+    labelling; `engine.eval_terms` evaluates them all once it is done.
 
     At most `DEFAULT_BUDGET` labellings are admitted (10,000; no call in
     the test suite admits more than 210, none in the benchmark more
@@ -204,13 +232,15 @@ def state_sum(word: Word, n: int = 2, memo: Optional[dict] = None,
         raise engine.BudgetError("jaeger.state_sum", budget, "labellings", word)
     if memo is None:
         memo = {}
-    edges = edge_list(ana)
+    edge = slot_edges(ana)
+    edges = sorted(set(edge))
+    roles = crossing_edges(ana, edge)
     terms = []
-    for count, f in enumerate(enumerate_admissible(ana, n), start=1):
+    for count, f in enumerate(enumerate_admissible(edges, roles, n), start=1):
         if count > budget:
             raise engine.BudgetError("jaeger.state_sum", budget, "labellings", word)
-        cuts = cutting_vertices(ana, f)
-        parts = diagrams.split_colours(smoothed_coloured(word, f, ana, cuts), n)
+        cuts = cutting_vertices(roles, f)
+        parts = diagrams.split_colours(smoothed_coloured(word, f, ana, edge, cuts), n)
         rots = [diagrams.total_rotation(part) for part in parts]
         coeff = interaction(ana, cuts, n) * _rotation_correction(rots, n)
         if trace is not None:

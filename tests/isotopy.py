@@ -26,10 +26,11 @@ def diagnose(word: Word) -> Optional[str]:
     return None
 
 
-def is_admissible(ana, labelling: dict) -> bool:
-    """Does every crossing preserve labels or cut, in Jaeger's sense?"""
-    for roles in jaeger.crossing_edges(ana):
-        va, vb, vc, vd = (labelling[e] for e in roles)
+def is_admissible(roles: list, labelling: dict) -> bool:
+    """Does every crossing, with edge roles `roles`
+    (`jaeger.crossing_edges`), preserve labels or cut, in Jaeger's sense?"""
+    for r in roles:
+        va, vb, vc, vd = (labelling[e] for e in r)
         if not ((va == vc and vb == vd) or jaeger._is_cut(va, vb, vc, vd)):
             return False
     return True

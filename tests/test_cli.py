@@ -1,10 +1,11 @@
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from skeinlab import cli, coproduct, engine, jaeger, textio
+from skeinlab import cli, coproduct, diagrams, engine, jaeger, textio
 
 REGRESSIONS = Path(__file__).parent / "regressions"
 
@@ -102,6 +103,23 @@ def test_verify_builtin_exit_zero(capsys):
     assert cli.main(["verify", "framing-remark", "--deterministic"]) == 0
     out = capsys.readouterr().out
     assert "ok:" in out and "0 failures" in out
+
+
+def test_verify_all_resolves_each_word_once(capsys, monkeypatch):
+    """Every suite of one `verify` call shares one memo, so no reduced
+    word is resolved twice."""
+    resolve = engine._resolve
+    misses = Counter()
+
+    def counted(word, memo, state):
+        key = diagrams.word_key(word)
+        if key not in memo:
+            misses[key] += 1
+        return resolve(word, memo, state)
+    monkeypatch.setattr(engine, "_resolve", counted)
+    assert cli.main(["verify", "all", "--corpus", "builtin"]) == 0
+    assert "0 failures" in capsys.readouterr().out
+    assert misses and max(misses.values()) == 1
 
 
 def test_verify_corpus_path(tmp_path, capsys):

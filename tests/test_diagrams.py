@@ -238,12 +238,12 @@ def test_components_and_edges_match_a_union_over_links():
         edges = _least_slot_union(ana, arcs)
         comps = _least_slot_union(ana, arcs + passes)
 
-        assert [ana.edge(s) for s in range(ana.n_slots)] == edges
+        assert J.slot_edges(ana) == edges
         assert [c.basepoint for c in ana.components] == sorted(set(comps))
         assert [c.index for c in ana.components] == list(range(len(ana.components)))
         assert [ana.component_of_slot(s).basepoint
                 for s in range(ana.n_slots)] == comps
-        roles = J.crossing_edges(ana)
+        roles = J.crossing_edges(ana, J.slot_edges(ana))
         assert len(roles) == len(ana.crossings)
         for c, got in zip(ana.crossings, roles):
             x, y, u, v = c.slots

@@ -14,53 +14,63 @@ import isotopy
 from conftest import random_word
 
 
-def brute_force_labellings(word, n):
+def edges_and_roles(word):
+    """The analysis of a word, its sorted edge ids and its crossing roles."""
     ana = D.analyze(word)
-    edges = J.edge_list(ana)
+    edge = J.slot_edges(ana)
+    return ana, sorted(set(edge)), J.crossing_edges(ana, edge)
+
+
+def admissible(word, n):
+    _, edges, roles = edges_and_roles(word)
+    return list(J.enumerate_admissible(edges, roles, n))
+
+
+def brute_force_labellings(word, n):
+    _, edges, roles = edges_and_roles(word)
     out = []
     for vals in product(range(1, n + 1), repeat=len(edges)):
         f = dict(zip(edges, vals))
-        if isotopy.is_admissible(ana, f):
+        if isotopy.is_admissible(roles, f):
             out.append(f)
     return out
 
 
 def test_labelling_count_disjoint_circles():
     w = T.parse_morse("cup 1 >\ncap 1 <\ncup 1 >\ncap 1 <\ncup 1 >\ncap 1 <")
-    assert len(list(J.enumerate_admissible(D.analyze(w), 2))) == 8
+    assert len(admissible(w, 2)) == 8
 
 
 def test_labelling_count_matches_brute_force():
     rng = random.Random(51)
     for _ in range(12):
         w = random_word(rng, max_events=10, max_crossings=4)
-        got = list(J.enumerate_admissible(D.analyze(w), 2))
+        got = admissible(w, 2)
         want = brute_force_labellings(w, 2)
         assert sorted(map(sorted, (g.items() for g in got))) == \
             sorted(map(sorted, (g.items() for g in want)))
     hopf = T.desugar_braid(2, [1, 1], True)
-    assert len(list(J.enumerate_admissible(D.analyze(hopf), 2))) == \
-        len(brute_force_labellings(hopf, 2)) == 5
+    assert len(admissible(hopf, 2)) == len(brute_force_labellings(hopf, 2)) == 5
 
 
 def test_single_label_always_unique():
     rng = random.Random(52)
     for _ in range(8):
         w = random_word(rng, max_events=10, max_crossings=4)
-        assert len(list(J.enumerate_admissible(D.analyze(w), 1))) == 1
+        assert len(admissible(w, 1)) == 1
 
 
 def test_interaction_values():
-    kink = D.analyze(T.desugar_braid(2, [1], True))
-    labellings = list(J.enumerate_admissible(kink, 2))
-    coeffs = sorted(S.pretty(J.interaction(kink, J.cutting_vertices(kink, f), 2))
+    kink, edges, roles = edges_and_roles(T.desugar_braid(2, [1], True))
+    labellings = list(J.enumerate_admissible(edges, roles, 2))
+    coeffs = sorted(S.pretty(J.interaction(kink, J.cutting_vertices(roles, f), 2))
                     for f in labellings)
     want = sorted([S.pretty(S.Scalar.one(2)), S.pretty(S.Scalar.one(2)),
                    S.pretty(S.q_minus_qinv(2))])
     assert coeffs == want
-    neg = D.analyze(T.desugar_braid(2, [-1], True))
-    labellings = list(J.enumerate_admissible(neg, 2))
-    coeffs = {S.pretty(J.interaction(neg, J.cutting_vertices(neg, f), 2))
+    neg, edges, roles = edges_and_roles(T.desugar_braid(2, [-1], True))
+    labellings = list(J.enumerate_admissible(edges, roles, 2))
+    coeffs = {S.pretty(J.interaction(neg, J.cutting_vertices(roles, f), 2))
               for f in labellings}
     assert S.pretty(-S.q_minus_qinv(2)) in coeffs
 
@@ -129,7 +139,8 @@ def test_trace_lines_emitted():
 
 def test_state_sum_analyzes_its_input_once(monkeypatch):
     """Only the entry check analyzes: no labelling's smoothed word or
-    colour part is analyzed again."""
+    colour part is analyzed again. The edge ids and the crossing roles
+    are derived once, too, and every labelling reuses them."""
     trefoil = T.desugar_braid(2, [1, 1, 1], True)
     unlink = T.parse_morse("cup 1 >\ncap 1 <\n" * 3)
     real = D.analyze
@@ -141,11 +152,21 @@ def test_state_sum_analyzes_its_input_once(monkeypatch):
 
     monkeypatch.setattr(J, "analyze", counting)
     monkeypatch.setattr(D, "analyze", counting)
+    derived = []
+    for name in ("slot_edges", "crossing_edges"):
+        def counted(*args, _real=getattr(J, name), _name=name):
+            derived.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(J, name, counted)
     for w in (trefoil, unlink):
         for n in (2, 3):
             calls.clear()
-            J.state_sum(w, n)
+            derived.clear()
+            lines = []
+            J.state_sum(w, n, trace=lines.append)
             assert calls == [w]
+            assert len(lines) > 1
+            assert sorted(derived) == ["crossing_edges", "slot_edges"]
 
 
 def test_state_sum_rejects_bad_inputs():
