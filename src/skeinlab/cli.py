@@ -1,8 +1,8 @@
 """Command line front end.
 
-Commands: eval, coproduct, jaeger, iterate, specialize, verify. Inputs
-are diagram files in the line grammar of skeinlab.textio ("-" reads from
-stdin). Exit codes: 0 success, 1 input error, 2 verification failure.
+Commands: eval, coproduct, jaeger, iterate, verify. Inputs are diagram
+files in the line grammar of skeinlab.textio ("-" reads from stdin).
+Exit codes: 0 success, 1 usage or input error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,13 @@ IDENTITIES = ("jaeger", "coassoc", "counit", "mult", "framing-remark")
 
 class CliError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CliError, so `main` reports them in one line."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _emit(value, fmt: str) -> None:
@@ -96,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing does not
     change it, and argparse looks up sys.stdout and sys.stderr only when
     it prints."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skeinlab",
         description="Exact framed skein evaluation, composition state sums "
                     "and the two-colour splitting coproduct.")
@@ -129,11 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slots", type=int, default=3)
     p.set_defaults(func=cmd_iterate)
 
-    p = sub.add_parser("specialize", help="evaluate and set q^t = q^N")
-    common(p)
-    p.add_argument("--t", required=True, metavar="N[,N...]")
-    p.set_defaults(func=cmd_eval)
-
     p = sub.add_parser("verify", help="run identity suites over a corpus")
     p.add_argument("identity", choices=IDENTITIES + ("all",))
     p.add_argument("--corpus", default="builtin",
@@ -146,10 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     word = None
     try:
+        args = build_parser().parse_args(argv)
         if args.command != "verify":
             word = textio.parse_morse(corpus.read_text(args.input), args.framing)
         return args.func(args, word)

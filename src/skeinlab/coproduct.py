@@ -244,15 +244,6 @@ def _append(slots: tuple, c: int, ev: tuple) -> tuple:
     return (s1 + (ev,), s2) if c == 1 else (s1, s2 + (ev,))
 
 
-def counit_word(word: Word) -> Scalar:
-    """The functor killing every nonempty diagram, at the skein level."""
-    if _is_empty(word):
-        return Scalar.one(0)
-    if word.surface == PLANE:
-        return scalars.scalar_counit(engine.eval_one_colour(word))
-    return Scalar.zero(0)
-
-
 def apply_counit(element: CoproductElement, slot: int) -> CoproductElement:
     """Drop one tensor slot, keeping only terms empty in that slot."""
     if not 1 <= slot <= element.slots:

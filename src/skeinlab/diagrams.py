@@ -11,7 +11,10 @@ profile at a 1-based position:
 Annulus words carry a gluing profile: the bottom and top boundaries are
 identified strand by strand. The framing tag selects how rotation numbers
 are read off (radial: turning number of the cut-open word; blackboard:
-turning number plus winding).
+turning number plus winding). `analyze` does not read them: the state sum
+takes each colour part's summed rotation from `total_rotation`, and the
+box walk dresses extrema and winding strands in `coproduct._dressing` and
+`coproduct._winding`.
 
 Turning contributions per extremum, in half units: cup> +1, cup< -1,
 cap< +1, cap> -1. A counterclockwise circle (cup> then cap<) has rotation
@@ -121,27 +124,8 @@ def oriented_sign(o_left: str, o_right: str, tag: str) -> int:
 class Component:
     index: int
     colour: int
-    turn_half: int      # sum of extremum turns, in half units
     self_writhe: int
-    winding: int
-    surface: str
     basepoint: int
-
-    @property
-    def rotation(self) -> int:
-        if self.turn_half % 2:
-            raise DiagramError("open component has no integer rotation number")
-        return self.turn_half // 2
-
-
-def rotation_number(comp: Component, framing: str) -> int:
-    if framing == RADIAL:
-        if comp.surface != ANNULUS:
-            raise DiagramError("radial framing is only defined on the annulus")
-        return comp.rotation
-    if framing == BLACKBOARD:
-        return comp.rotation + comp.winding
-    raise DiagramError(f"unknown framing {framing!r}")
 
 
 @dataclass
@@ -179,9 +163,6 @@ class Analysis:
     nxt: list              # slot -> (next slot, passage or None)
     components: list = field(default_factory=list)
     slot_component: list = field(default_factory=list)  # slot -> component index
-
-    def component_of_slot(self, slot: int) -> Component:
-        return self.components[self.slot_component[slot]]
 
 
 def analyze(word: Word) -> Analysis:
@@ -312,37 +293,17 @@ def analyze(word: Word) -> Analysis:
             s = ana.nxt[s][0]
         basepoints.append(start)
 
-    # Components with rotation, writhe and winding bookkeeping.
-    turn = [0] * len(basepoints)
-    for idx, kind, tag, l, r in ana.extrema:
-        turn[slot_component[l]] += _TURN[(kind, tag)]
+    # Self-writhes: the resolver's framing correction per component.
     selfw = [0] * len(basepoints)
     for c in ana.crossings:
         x, y, u, v = c.slots
         if slot_component[x] == slot_component[y]:
             selfw[slot_component[x]] += c.sign
-    wind = [0] * len(basepoints)
-    for b in ana.bottom:
-        wind[slot_component[b]] += 1 if ana.slot_orient[b] == UP else -1
-
     for i, root in enumerate(basepoints):
         ana.components.append(Component(
-            index=i, colour=ana.slot_colour[root], turn_half=turn[i],
-            self_writhe=selfw[i], winding=wind[i], surface=word.surface,
+            index=i, colour=ana.slot_colour[root], self_writhe=selfw[i],
             basepoint=root))
     return ana
-
-
-def validate(word: Word) -> None:
-    analyze(word)
-
-
-def trace_components(word: Word) -> tuple:
-    return tuple(analyze(word).components)
-
-
-def writhe(word: Word) -> int:
-    return sum(c.sign for c in analyze(word).crossings)
 
 
 def passage_sequence(ana: Analysis, order: Optional[list] = None,
@@ -370,22 +331,6 @@ def passage_sequence(ana: Analysis, order: Optional[list] = None,
 
 
 # -- word surgery ---------------------------------------------------------
-
-
-def mirror(word: Word) -> Word:
-    flip = {OVER_LEFT: OVER_RIGHT, OVER_RIGHT: OVER_LEFT}
-    events = tuple(replace(e, tag=flip[e.tag]) if e.kind == XING else e
-                   for e in word.events)
-    return replace(word, events=events)
-
-
-def reverse(word: Word) -> Word:
-    """Reverse every strand orientation."""
-    swap = {RIGHTMOVING: LEFTMOVING, LEFTMOVING: RIGHTMOVING}
-    events = tuple(replace(e, tag=swap[e.tag]) if e.kind in (CUP, CAP) else e
-                   for e in word.events)
-    profile = tuple((UP if o == DOWN else DOWN, c) for o, c in word.profile)
-    return replace(word, events=events, profile=profile)
 
 
 def flip_crossing(word: Word, event_index: int) -> Word:

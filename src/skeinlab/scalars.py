@@ -18,7 +18,6 @@ Exponent keys are tuples (e_q, e_a1, ..., e_an) with integer entries.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
@@ -365,15 +364,6 @@ def specialize(s: Scalar, values: Iterable) -> Scalar:
     return value
 
 
-def bar(s: Scalar) -> Scalar:
-    """The mirror involution q -> q^-1, a_i -> a_i^-1."""
-    out = {tuple(-e for e in expo): c for expo, c in s.terms.items()}
-    sign = -1 if s.den_pow % 2 else 1
-    if sign < 0:
-        out = {e: -c for e, c in out.items()}
-    return Scalar(s.arity, out, s.den_pow, _canonical=True)
-
-
 def rename_slots(s: Scalar, target: Iterable, arity: int) -> Scalar:
     """Send slot i of s to slot target[i-1] of a fresh arity-n element."""
     tgt = list(target)
@@ -438,16 +428,3 @@ def to_json(s: Scalar) -> dict:
             for e in sorted(s.terms)
         ],
     }
-
-
-def from_json(data) -> Scalar:
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    arity = int(data["arity"])
-    terms = {}
-    for t in data["terms"]:
-        key = (int(t["q"]),) + tuple(int(x) for x in t["a"])
-        if len(key) != arity + 1:
-            raise ArityError("exponent vector length does not match arity")
-        terms[key] = int(t["c"])
-    return Scalar(arity, terms, int(data["den_pow"]))

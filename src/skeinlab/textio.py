@@ -197,7 +197,7 @@ def parse_morse(text: str, framing: Optional[str] = None) -> Word:
         framing = BLACKBOARD
     word = Word(surface, framing, tuple(profile), tuple(events))
     try:
-        diagrams.validate(word)
+        diagrams.analyze(word)
     except diagrams.DiagramError as err:
         line = 0
         if err.index is not None and err.index < len(event_lines):
@@ -226,32 +226,15 @@ def render_morse(word: Word) -> str:
     return "\n".join(lines) + "\n"
 
 
-def word_to_json(word: Word) -> dict:
-    return {
-        "surface": word.surface,
-        "framing": word.framing,
-        "profile": [f"{o}{LETTER_OF_COLOUR[c]}" for o, c in word.profile],
-        "events": [f"{e.kind} {e.pos} {e.tag}" if e.kind != CUP else
-                   f"cup {e.pos} {e.tag} {LETTER_OF_COLOUR[e.colour]}"
-                   for e in word.events],
-    }
-
-
 EMPTY_TOKEN = "1_∅"
 
 
 def render(value, fmt: str = "pretty") -> str:
-    """Deterministic rendering of scalars and words."""
+    """Deterministic rendering of a scalar."""
     if fmt not in ("pretty", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(value, scalars.Scalar):
         if fmt == "json":
             return json.dumps(scalars.to_json(value), indent=2, sort_keys=True)
         return scalars.pretty(value)
-    if isinstance(value, Word):
-        if fmt == "json":
-            return json.dumps(word_to_json(value), indent=2, sort_keys=True)
-        if not value.events and not value.profile and value.surface == PLANE:
-            return EMPTY_TOKEN
-        return render_morse(value)
     raise TypeError(f"cannot render {type(value).__name__}")

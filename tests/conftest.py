@@ -5,7 +5,7 @@ import random
 import pytest
 
 from skeinlab import corpus
-from skeinlab.diagrams import (CAP, CUP, DOWN, Event, UP, Word, XING, validate)
+from skeinlab.diagrams import (CAP, CUP, DOWN, Event, UP, Word, XING, analyze)
 
 
 def random_braid_closure(rng: random.Random, max_strands=4, max_crossings=8) -> Word:
@@ -64,7 +64,7 @@ def random_word(rng: random.Random, max_events=14, max_crossings=6) -> Word:
             events.append(Event(XING, p, rng.choice("ou")))
             profile[p - 1], profile[p] = profile[p], profile[p - 1]
     word = Word(events=tuple(events))
-    validate(word)
+    analyze(word)
     return word
 
 

@@ -1,20 +1,110 @@
-"""Isotopy moves and validity checks used by the invariance suites.
+"""Isotopy moves, validity checks and reference code for the test suites.
 
 Each move inserts or permutes a few events of a word and returns the new
 word, or None where the move does not apply at the given place. None of
 this is part of the package: the evaluators are checked by showing that
 these moves leave their outputs unchanged.
+
+The reference code below (rotation numbers and windings per component,
+writhe, mirror and reversal of words, the bar involution and the JSON
+reader of scalars) states what the tests compare the package against.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from typing import Optional
 
 from skeinlab import jaeger
-from skeinlab.diagrams import (CAP, CUP, DOWN, DiagramError, Event, LEFTMOVING,
-                               OVER_LEFT, OVER_RIGHT, RIGHTMOVING, UP, Word, XING,
-                               _step, analyze, oriented_sign)
+from skeinlab.diagrams import (BLACKBOARD, CAP, CUP, DOWN, DiagramError, Event,
+                               LEFTMOVING, OVER_LEFT, OVER_RIGHT, RIGHTMOVING, UP,
+                               Word, XING, _step, analyze, oriented_sign)
+from skeinlab.scalars import ArityError, Scalar
+
+
+# -- reference code -------------------------------------------------------
+
+
+def _turns_and_windings(word: Word) -> tuple:
+    """Per component, in basepoint order: the sum of its extremum turns in
+    half units (cup> and cap< +1, cup< and cap> -1), and its signed count
+    of strands in the bottom profile (+1 up, -1 down)."""
+    ana = analyze(word)
+    turn = [0] * len(ana.components)
+    wind = [0] * len(ana.components)
+    for _, kind, tag, l, _ in ana.extrema:
+        turn[ana.slot_component[l]] += 1 if (kind == CUP) == (tag == RIGHTMOVING) else -1
+    for b in ana.bottom:
+        wind[ana.slot_component[b]] += 1 if ana.slot_orient[b] == UP else -1
+    return turn, wind
+
+
+def rotations(word: Word) -> list:
+    """Each component's turning number; a counterclockwise circle has +1."""
+    turn, _ = _turns_and_windings(word)
+    assert all(t % 2 == 0 for t in turn), turn
+    return [t // 2 for t in turn]
+
+
+def windings(word: Word) -> list:
+    """Each component's signed number of passes through the gluing profile."""
+    return _turns_and_windings(word)[1]
+
+
+def rotation_numbers(word: Word) -> list:
+    """Each component's rotation number in the word's framing: the turning
+    number, plus the winding under the blackboard framing."""
+    wind = windings(word)
+    if word.framing != BLACKBOARD:
+        wind = [0] * len(wind)
+    return [r + w for r, w in zip(rotations(word), wind)]
+
+
+def writhe(word: Word) -> int:
+    return sum(c.sign for c in analyze(word).crossings)
+
+
+def mirror(word: Word) -> Word:
+    flip = {OVER_LEFT: OVER_RIGHT, OVER_RIGHT: OVER_LEFT}
+    events = tuple(replace(e, tag=flip[e.tag]) if e.kind == XING else e
+                   for e in word.events)
+    return replace(word, events=events)
+
+
+def reverse(word: Word) -> Word:
+    """Reverse every strand orientation."""
+    swap = {RIGHTMOVING: LEFTMOVING, LEFTMOVING: RIGHTMOVING}
+    events = tuple(replace(e, tag=swap[e.tag]) if e.kind in (CUP, CAP) else e
+                   for e in word.events)
+    profile = tuple((UP if o == DOWN else DOWN, c) for o, c in word.profile)
+    return replace(word, events=events, profile=profile)
+
+
+def bar(s: Scalar) -> Scalar:
+    """The mirror involution q -> q^-1, a_i -> a_i^-1."""
+    out = {tuple(-e for e in expo): c for expo, c in s.terms.items()}
+    sign = -1 if s.den_pow % 2 else 1
+    if sign < 0:
+        out = {e: -c for e, c in out.items()}
+    return Scalar(s.arity, out, s.den_pow, _canonical=True)
+
+
+def from_json(data) -> Scalar:
+    """The scalar written by `scalars.to_json`, from a dict or its JSON text."""
+    if isinstance(data, (str, bytes)):
+        data = json.loads(data)
+    arity = int(data["arity"])
+    terms = {}
+    for t in data["terms"]:
+        key = (int(t["q"]),) + tuple(int(x) for x in t["a"])
+        if len(key) != arity + 1:
+            raise ArityError("exponent vector length does not match arity")
+        terms[key] = int(t["c"])
+    return Scalar(arity, terms, int(data["den_pow"]))
+
+
+# -- moves and validity checks -------------------------------------------
 
 
 def diagnose(word: Word) -> Optional[str]:

@@ -162,9 +162,9 @@ def test_criterion_09_collapse_and_symmetry_laws():
     for i in range(200):
         w = random_braid_closure(rng, max_strands=4, max_crossings=8)
         v = E.eval_one_colour(w, memo)
-        assert S.specialize(v, [1]) == S.q_power(D.writhe(w), 0)
-        assert E.eval_one_colour(D.mirror(w), memo) == S.bar(v)
-        assert E.eval_one_colour(D.reverse(w), memo) == v
+        assert S.specialize(v, [1]) == S.q_power(isotopy.writhe(w), 0)
+        assert E.eval_one_colour(isotopy.mirror(w), memo) == isotopy.bar(v)
+        assert E.eval_one_colour(isotopy.reverse(w), memo) == v
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     _report(9, "t=1 collapse, mirror and reversal laws on 200 fuzzed braids",

@@ -35,11 +35,6 @@ def test_eval_specialized(trefoil_file, capsys):
     assert capsys.readouterr().out.strip() == "q^3"
 
 
-def test_specialize_command(trefoil_file, capsys):
-    assert cli.main(["specialize", trefoil_file, "--t", "2"]) == 0
-    assert capsys.readouterr().out.strip() == "-q^-3 + q + q^3 + q^5"
-
-
 def test_jaeger_json_stdin(monkeypatch, capsys):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("cup 1 >\ncap 1 <\n"))
@@ -301,16 +296,27 @@ def test_corpus_parse_error_names_the_file(tmp_path, capsys):
     assert f"{tmp_path / 'bad.mw'}: " in err and "line 1" in err
 
 
-def test_specialize_is_eval_with_t(tmp_path, trefoil_file, capsys):
-    for t in ("1", "2", "-3"):
-        assert cli.main(["specialize", trefoil_file, "--t", t]) == 0
-        specialized = capsys.readouterr().out
+def test_eval_t_on_the_trefoil(trefoil_file, capsys):
+    for t, want in (("1", "q^3"), ("2", "-q^-3 + q + q^3 + q^5"),
+                    ("-3", "-q^-7 - q^-5 - 2*q^-3 - q^-1 + q^3 + q^5")):
         assert cli.main(["eval", trefoil_file, "--t", t]) == 0
-        assert capsys.readouterr().out == specialized
-    # a two-colour Hopf link: green over red, then red over green
+        assert capsys.readouterr().out == want + "\n"
+
+
+def test_eval_t_on_a_two_colour_hopf_link(tmp_path, capsys):
+    # green over red, then red over green
     hopf = tmp_path / "hopf-gr.mw"
     hopf.write_text("cup 1 > g\ncup 3 > r\nx 2 o\nx 2 o\ncap 3 <\ncap 1 <\n",
                     encoding="utf-8")
-    for command in ("specialize", "eval"):
-        assert cli.main([command, str(hopf), "--t", "1,2"]) == 0
-        assert capsys.readouterr().out == "q^-1 + q\n"
+    assert cli.main(["eval", str(hopf), "--t", "1,2"]) == 0
+    assert capsys.readouterr().out == "q^-1 + q\n"
+
+
+def test_usage_errors_are_one_line(trefoil_file, capsys):
+    for argv in (["bogus"], ["iterate", trefoil_file, "--slots", "x"], ["eval"],
+                 ["specialize", trefoil_file, "--t", "2"]):
+        _one_line_error(capsys, argv)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    assert "{eval,coproduct,jaeger,iterate,verify}" in capsys.readouterr().out

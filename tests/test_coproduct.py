@@ -266,14 +266,6 @@ def test_counit_laws(plane_corpus, shared_memo):
         assert C.apply_counit(element, 1).evaluate(shared_memo) == h, name
 
 
-def test_counit_word_values():
-    assert C.counit_word(Word()) == S.Scalar.one(0)
-    unknot = Word(events=(Event(CUP, 1, ">"), Event(CAP, 1, "<")))
-    assert C.counit_word(unknot).is_zero()
-    core = Word(ANNULUS, RADIAL, ((UP, GREEN),), ())
-    assert C.counit_word(core).is_zero()
-
-
 def test_plane_multiplicativity():
     rng = random.Random(62)
     for _ in range(8):

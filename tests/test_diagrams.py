@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ def ccw_unknot():
 
 
 def test_validate_examples():
-    D.validate(ccw_unknot())
+    D.analyze(ccw_unknot())
     assert "nonempty final profile" in isotopy.diagnose(Word(events=(Event(CUP, 1, ">"),)))
     bad = Word(events=(Event(CUP, 1, ">"), Event(CAP, 1, ">")))
     assert "cap orientation mismatch" in isotopy.diagnose(bad)
@@ -27,54 +28,50 @@ def test_validate_examples():
 def test_validate_reports_event_index():
     bad = Word(events=(Event(CUP, 1, ">"), Event(CAP, 1, ">")))
     with pytest.raises(D.DiagramError) as err:
-        D.validate(bad)
+        D.analyze(bad)
     assert err.value.index == 1
 
 
 def test_rotation_of_circles():
-    assert D.trace_components(ccw_unknot())[0].rotation == 1
+    assert isotopy.rotations(ccw_unknot()) == [1]
     cw = Word(events=(Event(CUP, 1, "<"), Event(CAP, 1, ">")))
-    assert D.trace_components(cw)[0].rotation == -1
+    assert isotopy.rotations(cw) == [-1]
 
 
 def test_annulus_core_bookkeeping():
     core = Word(ANNULUS, RADIAL, ((D.UP, GREEN),), ())
-    comp = D.trace_components(core)[0]
-    assert comp.winding == 1
-    assert D.rotation_number(comp, RADIAL) == 0
-    assert D.rotation_number(comp, BLACKBOARD) == 1
-    plane_comp = D.trace_components(ccw_unknot())[0]
+    assert isotopy.windings(core) == [1]
+    assert isotopy.rotation_numbers(core) == [0]
+    assert isotopy.rotation_numbers(replace(core, framing=BLACKBOARD)) == [1]
     with pytest.raises(D.DiagramError):
-        D.rotation_number(plane_comp, RADIAL)
+        isotopy.rotation_numbers(replace(ccw_unknot(), framing=RADIAL))
 
 
 def test_writhe_examples():
     s1 = T.desugar_braid(2, [1], True)
-    assert D.writhe(s1) == 1
-    assert len(D.trace_components(s1)) == 1
-    assert D.writhe(D.mirror(s1)) == -1
+    assert isotopy.writhe(s1) == 1
+    assert len(D.analyze(s1).components) == 1
+    assert isotopy.writhe(isotopy.mirror(s1)) == -1
     s13 = T.desugar_braid(2, [1, 1, 1], True)
     # independent count through the sign rule, crossing by crossing
     ana = D.analyze(s13)
     per_crossing = [D.oriented_sign(c.orients[0], c.orients[1], c.tag)
                     for c in ana.crossings]
     assert sum(per_crossing) == 3
-    assert D.writhe(s13) == 3
+    assert isotopy.writhe(s13) == 3
 
 
 def test_mirror_and_reverse_symmetries():
     rng = random.Random(21)
     for _ in range(25):
         w = random_word(rng)
-        comps = D.trace_components(w)
-        m = D.mirror(w)
-        assert D.writhe(m) == -D.writhe(w)
-        assert sorted(c.rotation for c in D.trace_components(m)) == \
-            sorted(c.rotation for c in comps)
-        r = D.reverse(w)
-        assert D.writhe(r) == D.writhe(w)
-        assert sorted(c.rotation for c in D.trace_components(r)) == \
-            sorted(-c.rotation for c in comps)
+        rots = isotopy.rotations(w)
+        m = isotopy.mirror(w)
+        assert isotopy.writhe(m) == -isotopy.writhe(w)
+        assert sorted(isotopy.rotations(m)) == sorted(rots)
+        r = isotopy.reverse(w)
+        assert isotopy.writhe(r) == isotopy.writhe(w)
+        assert sorted(isotopy.rotations(r)) == sorted(-x for x in rots)
 
 
 def test_split_colours_examples():
@@ -84,9 +81,9 @@ def test_split_colours_examples():
     nested = Word(events=(Event(CUP, 1, ">", RED), Event(CUP, 2, ">", GREEN),
                           Event(CAP, 2, "<"), Event(CAP, 1, "<")))
     green, red = D.split_colours(nested, 2)
-    assert len(D.trace_components(green)) == 1
-    assert len(D.trace_components(red)) == 1
-    assert D.trace_components(green)[0].rotation == 1
+    assert len(D.analyze(green).components) == 1
+    assert len(D.analyze(red).components) == 1
+    assert isotopy.rotations(green) == [1]
     # both circles come out recoloured GREEN and renumbered to position 1
     assert green == red == w
 
@@ -94,8 +91,12 @@ def test_split_colours_examples():
 def test_split_colours_keeps_unmixed_crossings():
     rng = random.Random(22)
 
-    def shape(comps):
-        return sorted((c.rotation, c.self_writhe) for c in comps)
+    def shape(word, colour=GREEN):
+        """(rotation, self-writhe) of the word's components of one colour."""
+        comps = D.analyze(word).components
+        return sorted((rot, c.self_writhe)
+                      for rot, c in zip(isotopy.rotations(word), comps)
+                      if c.colour == colour)
 
     for _ in range(20):
         w = random_word(rng, max_events=12, max_crossings=5)
@@ -103,7 +104,7 @@ def test_split_colours_keeps_unmixed_crossings():
         ana = D.analyze(w)
         comp_colour = {c.index: GREEN if c.index % 2 == 0 else RED
                        for c in ana.components}
-        cup_comp = {idx: ana.component_of_slot(l).index
+        cup_comp = {idx: ana.slot_component[l]
                     for idx, kind, _, l, _ in ana.extrema if kind == CUP}
         events = []
         for idx, e in enumerate(w.events):
@@ -117,35 +118,32 @@ def test_split_colours_keeps_unmixed_crossings():
         parts = D.split_colours(cw, 3)
         part_anas = [D.analyze(part) for part in parts]
         assert sum(len(a.crossings) for a in part_anas) == unmixed
-        for colour, a in zip((GREEN, RED, VIOLET), part_anas):
+        for colour, part, a in zip((GREEN, RED, VIOLET), parts, part_anas):
             assert {c.colour for c in a.components} <= {GREEN}
-            assert shape(a.components) == \
-                shape(c for c in ana2.components if c.colour == colour)
+            assert shape(part) == shape(cw, colour)
         assert parts[2] == Word()
 
     words = [w for _, w in corpus.load_builtin()]
     words += [random_word(rng) for _ in range(30)]
     for w in words:
-        assert D.total_rotation(w) == sum(c.rotation for c in D.analyze(w).components)
+        assert D.total_rotation(w) == sum(isotopy.rotations(w))
 
 
 def test_combine_and_power():
     u = ccw_unknot()
     both = D.combine(u, u)
-    assert len(D.trace_components(both)) == 2
+    assert len(D.analyze(both).components) == 2
     core = Word(ANNULUS, BLACKBOARD, ((D.UP, GREEN),), ())
     sq = D.power(core, 2)
     assert sq.profile == ((D.UP, GREEN), (D.UP, GREEN))
-    comps = D.trace_components(sq)
-    assert [c.winding for c in comps] == [1, 1]
+    assert isotopy.windings(sq) == [1, 1]
 
 
 def test_planar_closure_of_core_is_ccw_circle():
     core = Word(ANNULUS, BLACKBOARD, ((D.UP, GREEN),), ())
     closed = D.planar_closure(core)
     assert closed.surface == D.PLANE
-    comps = D.trace_components(closed)
-    assert len(comps) == 1 and comps[0].rotation == 1
+    assert isotopy.rotations(closed) == [1]
 
 
 def test_planar_closure_matches_blackboard_rotation():
@@ -156,11 +154,11 @@ def test_planar_closure_matches_blackboard_rotation():
                 for _ in range(rng.randint(0, 5))]
         open_w = T.desugar_braid(n, gens, False)
         closed = D.planar_closure(open_w)
-        lhs = sorted(D.rotation_number(c, BLACKBOARD)
-                     for c in D.trace_components(open_w))
-        rhs = sorted(c.rotation for c in D.trace_components(closed))
+        assert open_w.framing == BLACKBOARD
+        lhs = sorted(isotopy.rotation_numbers(open_w))
+        rhs = sorted(isotopy.rotations(closed))
         assert lhs == rhs
-        assert D.writhe(closed) == D.writhe(open_w)
+        assert isotopy.writhe(closed) == isotopy.writhe(open_w)
 
 
 def test_normalize_crossings_preserves_invariants():
@@ -169,12 +167,12 @@ def test_normalize_crossings_preserves_invariants():
         w = random_word(rng)
         nw = D.normalize_crossings(w, D.analyze(w))
         assert all(c.orients == (D.UP, D.UP) for c in D.analyze(nw).crossings)
-        assert D.writhe(nw) == D.writhe(w)
-        assert len(D.trace_components(nw)) == len(D.trace_components(w))
-        assert sorted(c.rotation for c in D.trace_components(nw)) == \
-            sorted(c.rotation for c in D.trace_components(w))
-        assert sorted(c.self_writhe for c in D.trace_components(nw)) == \
-            sorted(c.self_writhe for c in D.trace_components(w))
+        assert isotopy.writhe(nw) == isotopy.writhe(w)
+        comps, new_comps = D.analyze(w).components, D.analyze(nw).components
+        assert len(new_comps) == len(comps)
+        assert sorted(isotopy.rotations(nw)) == sorted(isotopy.rotations(w))
+        assert sorted(c.self_writhe for c in new_comps) == \
+            sorted(c.self_writhe for c in comps)
 
 
 def test_thread_meridian_links_once():
@@ -184,7 +182,7 @@ def test_thread_meridian_links_once():
     ana = D.analyze(closed)
     assert len(ana.components) == 2
     inter = [c.sign for c in ana.crossings
-             if ana.component_of_slot(c.slots[0]) != ana.component_of_slot(c.slots[1])]
+             if ana.slot_component[c.slots[0]] != ana.slot_component[c.slots[1]]]
     assert abs(sum(inter)) == 2  # linking number one
 
 
@@ -197,7 +195,7 @@ def test_word_key_separates_words():
             assert by_key[D.word_key(w)] == w
         by_key[D.word_key(w)] = w
     u = ccw_unknot()
-    assert D.word_key(u) != D.word_key(D.mirror(T.desugar_braid(2, [1], True)))
+    assert D.word_key(u) != D.word_key(isotopy.mirror(T.desugar_braid(2, [1], True)))
     assert D.word_key(u) == D.word_key(Word(events=u.events))
 
 
@@ -241,7 +239,7 @@ def test_components_and_edges_match_a_union_over_links():
         assert J.slot_edges(ana) == edges
         assert [c.basepoint for c in ana.components] == sorted(set(comps))
         assert [c.index for c in ana.components] == list(range(len(ana.components)))
-        assert [ana.component_of_slot(s).basepoint
+        assert [ana.components[ana.slot_component[s]].basepoint
                 for s in range(ana.n_slots)] == comps
         roles = J.crossing_edges(ana, J.slot_edges(ana))
         assert len(roles) == len(ana.crossings)

@@ -49,7 +49,7 @@ def test_collapse_at_t_equals_one():
     for _ in range(40):
         w = random_braid_closure(rng)
         v = E.eval_one_colour(w)
-        assert S.specialize(v, [1]) == S.q_power(D.writhe(w), 0)
+        assert S.specialize(v, [1]) == S.q_power(isotopy.writhe(w), 0)
 
 
 def test_mirror_and_reversal_laws():
@@ -57,8 +57,8 @@ def test_mirror_and_reversal_laws():
     for _ in range(20):
         w = random_word(rng)
         v = E.eval_one_colour(w)
-        assert E.eval_one_colour(D.mirror(w)) == S.bar(v)
-        assert E.eval_one_colour(D.reverse(w)) == v
+        assert E.eval_one_colour(isotopy.mirror(w)) == isotopy.bar(v)
+        assert E.eval_one_colour(isotopy.reverse(w)) == v
 
 
 def test_disjoint_union_multiplies():
@@ -154,7 +154,7 @@ def test_r2_reduction_keeps_non_pairs():
         Event(CUP, 1, ">"), Event(CUP, 3, ">"), Event(XING, 2, "o"),
         Event(CUP, 5, ">"), Event(CAP, 5, "<"), Event(XING, 2, "u"),
         Event(CAP, 3, "<"), Event(CAP, 1, "<")))
-    D.validate(split)
+    D.analyze(split)
     assert E.reduce_r2(split) == split
     assert E.eval_one_colour(split) == E.naive_eval(split) == d() ** 3
 

@@ -17,6 +17,9 @@ three orientation patterns, on the trefoil and the Hopf link with 0-4
 unknots beside them, and on the two-strand annulus profiles `^ ^` and
 `^ v` in both framings, then `iterate --slots 3` on two small words.
 
+The `## Library` block of README.md runs as written, and its commented
+lines are the pretty coproduct of the annulus core that it ends with.
+
 An edit that changes any exact output fails here. Rewrite the files
 (`python tests/test_golden.py`) only for a change whose outputs are meant
 to differ, and say so where it lands.
@@ -38,6 +41,7 @@ from conftest import random_word
 GOLDEN = Path(__file__).parent / "regressions" / "golden-builtin.txt"
 GOLDEN_MULTI = Path(__file__).parent / "regressions" / "golden-multicolour.txt"
 GOLDEN_COPRODUCT = Path(__file__).parent / "regressions" / "golden-coproduct.txt"
+README = Path(__file__).parent.parent / "README.md"
 
 COMMANDS = (
     ("eval",),
@@ -171,6 +175,20 @@ def test_multicolour_outputs_match_golden_file():
 
 def test_coproduct_outputs_match_golden_digests():
     assert render_coproduct_golden() == GOLDEN_COPRODUCT.read_text(encoding="utf-8")
+
+
+
+def test_readme_library_block_runs_and_shows_its_output():
+    text = README.read_text(encoding="utf-8")
+    library = text[text.index("\n## Library\n"):]
+    start = library.index("```python\n") + len("```python\n")
+    block = library[start:library.index("```\n", start)]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    shown = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    sk, core = namespace["sk"], namespace["core"]
+    assert len(shown) == 2
+    assert sk.coproduct_diagram(core).pretty() == "\n".join(shown)
 
 
 if __name__ == "__main__":
