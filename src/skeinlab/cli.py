@@ -162,7 +162,7 @@ def main(argv=None) -> int:
     except (CliError, corpus.CorpusError, textio.DiagnosticError,
             diagrams.DiagramError, engine.EvalError, engine.BudgetError,
             jaeger.StateSumError, coproduct.CoproductError, scalars.ArityError,
-            scalars.SpecializeError, scalars.CounitUndefinedError) as err:
+            scalars.SpecializeError) as err:
         print(f"skeinlab: error: {err}", file=sys.stderr)
         return 1
 

@@ -149,25 +149,26 @@ def coproduct_diagram(word: Word) -> CoproductElement:
     A leaf of the walk adds its sign to an integer coefficient keyed by
     its start labels, its two slot-event sequences, its power of
     (q - q^-1) and its a-exponents; after the walk each key becomes one
-    Word pair and one Scalar. At most `DEFAULT_BUDGET` walk calls are made
-    per call; the next one raises `engine.BudgetError`.
+    Word pair, whose events are those sequences, and one Scalar. At most
+    `DEFAULT_BUDGET` walk calls are made per call; the next one raises
+    `engine.BudgetError`.
     """
     ana = analyze(word)
     if len({c.colour for c in ana.components}) > 1:
         raise CoproductError("coproduct input must be single-coloured")
     nw = diagrams.normalize_crossings(word, ana)
-    events = tuple((e.kind, e.pos, e.tag) for e in nw.events)
+    events = nw.events
     end = len(events)
     # (start labels, slot-1 events, slot-2 events) -> {(s_pow, e1, e2): sum of signs}
     acc: dict = {}
     limit = DEFAULT_BUDGET
     left = [limit]  # walk calls left
 
-    # Slot-event sequences grow with the walk as plain tuples, and a leaf
-    # only adds its sign into `acc`: no Word, Event or Scalar is built
-    # until the walk ends. The walk visits every branch and recurses, so
-    # the recursion limit bounds its depth, until the merged-state
-    # frontier (ROADMAP item 2) replaces it.
+    # Slot-event sequences grow with the walk as tuples of Events, and a
+    # leaf only adds its sign into `acc`: no Word or Scalar is built until
+    # the walk ends. The walk visits every branch and recurses, so the
+    # recursion limit bounds its depth, until the merged-state frontier
+    # (ROADMAP item 2) replaces it.
     def walk(i, labels, slots, sign, s_pow, e1, e2):
         left[0] -= 1
         if left[0] < 0:
@@ -178,12 +179,12 @@ def coproduct_diagram(word: Word) -> CoproductElement:
                 key = (s_pow, e1, e2)
                 coeffs[key] = coeffs.get(key, 0) + sign
             return
-        kind, pos, tag = events[i]
+        kind, pos, tag, _ = events[i]
         if kind == CUP:
             for c in (1, 2):
                 d1, d2 = _dressing(c, CUP, tag)
                 walk(i + 1, labels[:pos - 1] + (c, c) + labels[pos - 1:],
-                     _append(slots, c, (CUP, labels[:pos - 1].count(c) + 1, tag)),
+                     _append(slots, c, Event(CUP, labels[:pos - 1].count(c) + 1, tag)),
                      sign, s_pow, e1 + d1, e2 + d2)
         elif kind == CAP:
             c = labels[pos - 1]
@@ -191,14 +192,14 @@ def coproduct_diagram(word: Word) -> CoproductElement:
                 return
             d1, d2 = _dressing(c, CAP, tag)
             walk(i + 1, labels[:pos - 1] + labels[pos + 1:],
-                 _append(slots, c, (CAP, labels[:pos - 1].count(c) + 1, tag)),
+                 _append(slots, c, Event(CAP, labels[:pos - 1].count(c) + 1, tag)),
                  sign, s_pow, e1 + d1, e2 + d2)
         else:
             cl, cr = labels[pos - 1], labels[pos]
             swapped = labels[:pos - 1] + (cr, cl) + labels[pos + 1:]
             if cl == cr:
                 walk(i + 1, swapped,
-                     _append(slots, cl, (XING, labels[:pos - 1].count(cl) + 1, tag)),
+                     _append(slots, cl, Event(XING, labels[:pos - 1].count(cl) + 1, tag)),
                      sign, s_pow, e1, e2)
             else:
                 walk(i + 1, swapped, slots, sign, s_pow, e1, e2)
@@ -217,11 +218,6 @@ def coproduct_diagram(word: Word) -> CoproductElement:
         walk(0, start_labels, ((), ()), 1, 0, e1, e2)
 
     out = CoproductElement(2, word.surface)
-    interned: dict = {}  # one Event per distinct (kind, pos, tag)
-
-    def event(ev):
-        return interned.get(ev) or interned.setdefault(ev, Event(*ev))
-
     while acc:
         (labels, *slots), coeffs = acc.popitem()
         terms: dict = {}
@@ -232,13 +228,13 @@ def coproduct_diagram(word: Word) -> CoproductElement:
         words = tuple(
             Word(nw.surface, nw.framing,
                  tuple((o, GREEN) for (o, _), lab in zip(nw.profile, labels) if lab == c),
-                 tuple(map(event, seq)))
+                 seq)
             for c, seq in zip((1, 2), slots))
         out.add(words, Scalar(2, terms))
     return out
 
 
-def _append(slots: tuple, c: int, ev: tuple) -> tuple:
+def _append(slots: tuple, c: int, ev: Event) -> tuple:
     """The pair of slot-event sequences with `ev` added to slot c."""
     s1, s2 = slots
     return (s1 + (ev,), s2) if c == 1 else (s1, s2 + (ev,))

@@ -23,8 +23,7 @@ number +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 PLANE = "plane"
 ANNULUS = "annulus"
@@ -68,24 +67,24 @@ class DiagramError(ValueError):
         super().__init__(message + where)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: str
     pos: int
     tag: str
     colour: int = GREEN  # meaningful on cups only
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
+    """A Morse word: a plain immutable value, hashed and compared as the
+    tuple it is. `profile` is a tuple of (orientation, colour) pairs and
+    `events` a tuple of `Event`s; neither is coerced, so callers pass
+    tuples. Surgery builds new words with `_replace`. Nothing is checked
+    here: `textio.parse_morse` is the validated entry point, and
+    `analyze` validates a word built in code."""
     surface: str = PLANE
     framing: str = BLACKBOARD
     profile: tuple = ()  # ((orientation, colour), ...) for annulus words
     events: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "profile", tuple(tuple(p) for p in self.profile))
 
 
 def word_key(word: Word) -> bytes:
@@ -120,16 +119,14 @@ def oriented_sign(o_left: str, o_right: str, tag: str) -> int:
     return 1 if z > 0 else -1
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     index: int
     colour: int
     self_writhe: int
     basepoint: int
 
 
-@dataclass
-class Crossing:
+class Crossing(NamedTuple):
     """One crossing of the analyzed word. Its edge roles in the state sum
     (over-in, under-in, over-out, under-out) are `jaeger.crossing_edges`."""
     event_index: int
@@ -140,8 +137,7 @@ class Crossing:
     colours: tuple     # (c_left, c_right) below the crossing
 
 
-@dataclass
-class Analysis:
+class Analysis(NamedTuple):
     """Full combinatorial scan of a valid word: its slots, crossings and
     components.
 
@@ -161,8 +157,8 @@ class Analysis:
     bottom: list
     top: list
     nxt: list              # slot -> (next slot, passage or None)
-    components: list = field(default_factory=list)
-    slot_component: list = field(default_factory=list)  # slot -> component index
+    components: list
+    slot_component: list   # slot -> component index
 
 
 def analyze(word: Word) -> Analysis:
@@ -179,16 +175,14 @@ def analyze(word: Word) -> Analysis:
     if word.surface == PLANE and word.profile:
         raise DiagramError("plane words must have an empty boundary profile")
 
-    ana = Analysis(n_slots=0, slot_orient=[], slot_colour=[],
-                   crossings=[], extrema=[], bottom=[], top=[], nxt=[])
+    slot_orient, slot_colour, nxt = [], [], []
+    crossings, extrema, bottom = [], [], []
 
     def new_slot(orient, colour):
-        i = ana.n_slots
-        ana.n_slots += 1
-        ana.slot_orient.append(orient)
-        ana.slot_colour.append(colour)
-        ana.nxt.append(None)
-        return i
+        slot_orient.append(orient)
+        slot_colour.append(colour)
+        nxt.append(None)
+        return len(nxt) - 1
 
     strands = []
     for orient, colour in word.profile:
@@ -196,7 +190,7 @@ def analyze(word: Word) -> Analysis:
             raise DiagramError(f"bad profile orientation {orient!r}")
         s = new_slot(orient, colour)
         strands.append(s)
-        ana.bottom.append(s)
+        bottom.append(s)
 
     for idx, ev in enumerate(word.events):
         width = len(strands)
@@ -209,11 +203,11 @@ def analyze(word: Word) -> Analysis:
             l = new_slot(o_l, ev.colour)
             r = new_slot(o_r, ev.colour)
             strands[ev.pos - 1:ev.pos - 1] = [l, r]
-            ana.extrema.append((idx, CUP, ev.tag, l, r))
+            extrema.append((idx, CUP, ev.tag, l, r))
             if ev.tag == RIGHTMOVING:
-                ana.nxt[l] = (r, None)
+                nxt[l] = (r, None)
             else:
-                ana.nxt[r] = (l, None)
+                nxt[r] = (l, None)
         elif ev.kind == CAP:
             if width < 2:
                 raise DiagramError(f"cap on a profile of {width} strands", idx)
@@ -223,19 +217,19 @@ def analyze(word: Word) -> Analysis:
                 raise DiagramError(f"bad cap tag {ev.tag!r}", idx)
             l, r = strands[ev.pos - 1], strands[ev.pos]
             want = _CAP_PAIR[ev.tag]
-            got = (ana.slot_orient[l], ana.slot_orient[r])
+            got = (slot_orient[l], slot_orient[r])
             if got != want:
                 raise DiagramError(
                     f"cap orientation mismatch: expected {want}, found {got}", idx)
-            if ana.slot_colour[l] != ana.slot_colour[r]:
+            if slot_colour[l] != slot_colour[r]:
                 raise DiagramError(
-                    f"cap colour mismatch: {ana.slot_colour[l]} vs {ana.slot_colour[r]}", idx)
+                    f"cap colour mismatch: {slot_colour[l]} vs {slot_colour[r]}", idx)
             del strands[ev.pos - 1:ev.pos + 1]
-            ana.extrema.append((idx, CAP, ev.tag, l, r))
+            extrema.append((idx, CAP, ev.tag, l, r))
             if ev.tag == RIGHTMOVING:
-                ana.nxt[l] = (r, None)
+                nxt[l] = (r, None)
             else:
-                ana.nxt[r] = (l, None)
+                nxt[r] = (l, None)
         elif ev.kind == XING:
             if width < 2:
                 raise DiagramError(f"crossing on a profile of {width} strands", idx)
@@ -244,66 +238,65 @@ def analyze(word: Word) -> Analysis:
             if ev.tag not in (OVER_LEFT, OVER_RIGHT):
                 raise DiagramError(f"bad crossing tag {ev.tag!r}", idx)
             x, y = strands[ev.pos - 1], strands[ev.pos]
-            o_l, o_r = ana.slot_orient[x], ana.slot_orient[y]
-            c_l, c_r = ana.slot_colour[x], ana.slot_colour[y]
+            o_l, o_r = slot_orient[x], slot_orient[y]
+            c_l, c_r = slot_colour[x], slot_colour[y]
             u = new_slot(o_r, c_r)   # above left continues the right strand
             v = new_slot(o_l, c_l)   # above right continues the left strand
             strands[ev.pos - 1], strands[ev.pos] = u, v
-            ci = len(ana.crossings)
+            ci = len(crossings)
             sign = oriented_sign(o_l, o_r, ev.tag)
-            ana.crossings.append(Crossing(idx, ev.tag, sign, (x, y, u, v),
-                                          (o_l, o_r), (c_l, c_r)))
+            crossings.append(Crossing(idx, ev.tag, sign, (x, y, u, v),
+                                      (o_l, o_r), (c_l, c_r)))
             if o_l == UP:
-                ana.nxt[x] = (v, (ci, 0))
+                nxt[x] = (v, (ci, 0))
             else:
-                ana.nxt[v] = (x, (ci, 0))
+                nxt[v] = (x, (ci, 0))
             if o_r == UP:
-                ana.nxt[y] = (u, (ci, 1))
+                nxt[y] = (u, (ci, 1))
             else:
-                ana.nxt[u] = (y, (ci, 1))
+                nxt[u] = (y, (ci, 1))
         else:
             raise DiagramError(f"unknown event kind {ev.kind!r}", idx)
 
-    ana.top = list(strands)
     if word.surface == PLANE:
         if strands:
             raise DiagramError(
                 f"nonempty final profile ({len(strands)} strands) on a closed plane word")
     else:
-        got = tuple((ana.slot_orient[s], ana.slot_colour[s]) for s in strands)
+        got = tuple((slot_orient[s], slot_colour[s]) for s in strands)
         if got != word.profile:
             raise DiagramError(
                 f"final profile {got} does not match the gluing profile {word.profile}")
-        for b, t in zip(ana.bottom, ana.top):
-            if ana.slot_orient[b] == UP:
-                ana.nxt[t] = (b, None)
+        for b, t in zip(bottom, strands):
+            if slot_orient[b] == UP:
+                nxt[t] = (b, None)
             else:
-                ana.nxt[b] = (t, None)
+                nxt[b] = (t, None)
 
     # Components, each named by its least slot: ascending slots meet
     # every cycle first at its least slot.
-    slot_component = ana.slot_component = [-1] * ana.n_slots
+    n_slots = len(nxt)
+    slot_component = [-1] * n_slots
     basepoints = []
-    for start in range(ana.n_slots):
+    for start in range(n_slots):
         if slot_component[start] >= 0:
             continue
         s = start
         while slot_component[s] < 0:
             slot_component[s] = len(basepoints)
-            s = ana.nxt[s][0]
+            s = nxt[s][0]
         basepoints.append(start)
 
     # Self-writhes: the resolver's framing correction per component.
     selfw = [0] * len(basepoints)
-    for c in ana.crossings:
+    for c in crossings:
         x, y, u, v = c.slots
         if slot_component[x] == slot_component[y]:
             selfw[slot_component[x]] += c.sign
-    for i, root in enumerate(basepoints):
-        ana.components.append(Component(
-            index=i, colour=ana.slot_colour[root], self_writhe=selfw[i],
-            basepoint=root))
-    return ana
+    components = [Component(i, slot_colour[root], selfw[i], root)
+                  for i, root in enumerate(basepoints)]
+    return Analysis(n_slots, slot_orient, slot_colour, crossings, extrema,
+                    bottom, strands, nxt, components, slot_component)
 
 
 def passage_sequence(ana: Analysis, order: Optional[list] = None,
@@ -338,31 +331,30 @@ def flip_crossing(word: Word, event_index: int) -> Word:
     if e.kind != XING:
         raise DiagramError("not a crossing", event_index)
     flip = {OVER_LEFT: OVER_RIGHT, OVER_RIGHT: OVER_LEFT}
-    events = list(word.events)
-    events[event_index] = replace(e, tag=flip[e.tag])
-    return replace(word, events=tuple(events))
+    events = word.events
+    return word._replace(events=events[:event_index] + (e._replace(tag=flip[e.tag]),)
+                         + events[event_index + 1:])
+
+
+def smoothing_patch(orients: tuple, pos: int, colour: int) -> tuple:
+    """The events of the oriented 0-smoothing of a crossing at `pos` whose
+    strands run `orients` below it. Equal orientations: none, the
+    crossing is simply dropped. Opposite orientations: a turnback, a cap
+    followed by a cup of `colour`, ">" for (up, down) and "<" for
+    (down, up)."""
+    if orients[0] == orients[1]:
+        return ()
+    tag = RIGHTMOVING if orients[0] == UP else LEFTMOVING
+    return (Event(CAP, pos, tag), Event(CUP, pos, tag, colour))
 
 
 def smooth_crossing(word: Word, cross: Crossing) -> Word:
-    """Replace a crossing of the word's analysis by its oriented 0-smoothing.
-
-    Equal orientations: the crossing event is simply dropped. Opposite
-    orientations: the smoothing is a turnback, a cap followed by a cup.
-    """
-    o_l, o_r = cross.orients
-    event_index = cross.event_index
-    events = list(word.events)
-    p = word.events[event_index].pos
-    if o_l == o_r:
-        patch = []
-    elif (o_l, o_r) == (UP, DOWN):
-        colour = cross.colours[0]
-        patch = [Event(CAP, p, RIGHTMOVING), Event(CUP, p, RIGHTMOVING, colour)]
-    else:
-        colour = cross.colours[0]
-        patch = [Event(CAP, p, LEFTMOVING), Event(CUP, p, LEFTMOVING, colour)]
-    events[event_index:event_index + 1] = patch
-    return replace(word, events=tuple(events))
+    """Replace a crossing of the word's analysis by its oriented
+    0-smoothing, the cup taking the colour of the crossing's left strand."""
+    i = cross.event_index
+    events = word.events
+    patch = smoothing_patch(cross.orients, events[i].pos, cross.colours[0])
+    return word._replace(events=events[:i] + patch + events[i + 1:])
 
 
 def _normalize_one(e: Event, orients: tuple) -> list:
@@ -401,7 +393,7 @@ def normalize_crossings(word: Word, ana: Analysis) -> Word:
             events.extend(_normalize_one(e, by_index[idx].orients))
         else:
             events.append(e)
-    return replace(word, events=tuple(events))
+    return word._replace(events=tuple(events))
 
 
 def _step(prof: list, e: Event) -> None:
@@ -442,13 +434,12 @@ def combine(w1: Word, w2: Word) -> Word:
     if w1.surface != w2.surface:
         raise DiagramError("cannot combine words on different surfaces")
     if w1.surface == PLANE:
-        return replace(w1, events=w1.events + w2.events)
+        return w1._replace(events=w1.events + w2.events)
     if w1.framing != w2.framing:
         raise DiagramError("cannot stack annulus words with different framings")
     off = len(w1.profile)
-    shifted = tuple(replace(e, pos=e.pos + off) for e in w2.events)
-    return replace(w1, profile=w1.profile + w2.profile,
-                   events=w1.events + shifted)
+    shifted = tuple(e._replace(pos=e.pos + off) for e in w2.events)
+    return w1._replace(profile=w1.profile + w2.profile, events=w1.events + shifted)
 
 
 def power(word: Word, k: int) -> Word:
@@ -470,7 +461,7 @@ def planar_closure(word: Word) -> Word:
         orient, colour = word.profile[k - 1]
         tag = RIGHTMOVING if orient == UP else LEFTMOVING
         pre.append(Event(CUP, p - k + 1, tag, colour))
-    body = [replace(e, pos=e.pos + p) for e in word.events]
+    body = [e._replace(pos=e.pos + p) for e in word.events]
     post = []
     for k in range(1, p + 1):
         orient, _ = word.profile[k - 1]
@@ -492,5 +483,5 @@ def thread_meridian(word: Word) -> Word:
     for k in range(p + 1, 1, -1):
         block.append(Event(XING, k, OVER_RIGHT))
     block.append(Event(CAP, 1, LEFTMOVING))
-    return replace(word, events=tuple(block) + word.events)
+    return word._replace(events=tuple(block) + word.events)
 

@@ -30,8 +30,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional
 
 from . import diagrams, engine, scalars
-from .diagrams import (CUP, DOWN, Event, OVER_LEFT, PLANE, UP, Word, XING,
-                       analyze)
+from .diagrams import CUP, Event, OVER_LEFT, PLANE, UP, Word, XING, analyze
 from .scalars import Scalar
 
 
@@ -159,8 +158,9 @@ def interaction(ana, cuts: list, n: int) -> Scalar:
 
 def smoothed_coloured(word: Word, labelling: dict, ana, edge: list,
                       cuts: list) -> Word:
-    """Smooth the cutting vertices `cuts` and colour each arc by the label
-    of its edge (`edge` maps slots to edge ids, `slot_edges`).
+    """Smooth the cutting vertices `cuts` (`diagrams.smoothing_patch`, the
+    cup taking the label of the edge above left) and colour each arc by
+    the label of its edge (`edge` maps slots to edge ids, `slot_edges`).
     The result is not validated: an admissible labelling gives every cap,
     the smoothing's included, two strands of one label."""
     cut_events = {}
@@ -178,14 +178,8 @@ def smoothed_coloured(word: Word, labelling: dict, ana, edge: list,
             if x is None:
                 events.append(e)
             else:
-                o_l, o_r = x.orients
-                if o_l == o_r:
-                    pass
-                else:
-                    tag = diagrams.RIGHTMOVING if (o_l, o_r) == (UP, DOWN) else diagrams.LEFTMOVING
-                    cup_lab = labelling[edge[x.slots[2]]]
-                    events.append(Event(diagrams.CAP, e.pos, tag))
-                    events.append(Event(CUP, e.pos, tag, cup_lab))
+                events += diagrams.smoothing_patch(x.orients, e.pos,
+                                                   labelling[edge[x.slots[2]]])
         else:
             events.append(e)
     profile = tuple((o, labelling[edge[s]])

@@ -13,7 +13,6 @@ reader of scalars) states what the tests compare the package against.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from typing import Optional
 
 from skeinlab import jaeger
@@ -67,18 +66,18 @@ def writhe(word: Word) -> int:
 
 def mirror(word: Word) -> Word:
     flip = {OVER_LEFT: OVER_RIGHT, OVER_RIGHT: OVER_LEFT}
-    events = tuple(replace(e, tag=flip[e.tag]) if e.kind == XING else e
+    events = tuple(e._replace(tag=flip[e.tag]) if e.kind == XING else e
                    for e in word.events)
-    return replace(word, events=events)
+    return word._replace(events=events)
 
 
 def reverse(word: Word) -> Word:
     """Reverse every strand orientation."""
     swap = {RIGHTMOVING: LEFTMOVING, LEFTMOVING: RIGHTMOVING}
-    events = tuple(replace(e, tag=swap[e.tag]) if e.kind in (CUP, CAP) else e
+    events = tuple(e._replace(tag=swap[e.tag]) if e.kind in (CUP, CAP) else e
                    for e in word.events)
     profile = tuple((UP if o == DOWN else DOWN, c) for o, c in word.profile)
-    return replace(word, events=events, profile=profile)
+    return word._replace(events=events, profile=profile)
 
 
 def bar(s: Scalar) -> Scalar:
@@ -149,14 +148,14 @@ def commute_events(word: Word, i: int) -> Optional[Word]:
     events = list(word.events)
     if f.pos + 1 < e.pos:
         events[i] = f
-        events[i + 1] = replace(e, pos=e.pos + _shift(f))
+        events[i + 1] = e._replace(pos=e.pos + _shift(f))
     else:
         f_before = f.pos - _shift(e)
         if f_before <= e.pos + 1 or f_before < 1:
             return None
-        events[i] = replace(f, pos=f_before)
+        events[i] = f._replace(pos=f_before)
         events[i + 1] = e
-    out = replace(word, events=tuple(events))
+    out = word._replace(events=tuple(events))
     try:
         analyze(out)
     except DiagramError:
@@ -179,7 +178,7 @@ def insert_zigzag(word: Word, at: int, pos: int, side: str = "right") -> Optiona
                  [Event(CUP, pos, RIGHTMOVING, colour), Event(CAP, pos + 1, RIGHTMOVING)])
     events = list(word.events)
     events[at:at] = patch
-    out = replace(word, events=tuple(events))
+    out = word._replace(events=tuple(events))
     try:
         analyze(out)
     except DiagramError:
@@ -194,7 +193,7 @@ def insert_r2(word: Word, at: int, pos: int, tag: str = OVER_LEFT) -> Optional[W
     other = OVER_RIGHT if tag == OVER_LEFT else OVER_LEFT
     events = list(word.events)
     events[at:at] = [Event(XING, pos, tag), Event(XING, pos, other)]
-    return replace(word, events=tuple(events))
+    return word._replace(events=tuple(events))
 
 
 def insert_r3_pair(word: Word, at: int, pos: int, tag: str = OVER_LEFT):
@@ -210,8 +209,8 @@ def insert_r3_pair(word: Word, at: int, pos: int, tag: str = OVER_LEFT):
     left = [Event(XING, pos, tag), Event(XING, pos + 1, tag), Event(XING, pos, tag)]
     right = [Event(XING, pos + 1, tag), Event(XING, pos, tag), Event(XING, pos + 1, tag)]
     events = list(word.events)
-    wa = replace(word, events=tuple(events[:at] + left + events[at:]))
-    wb = replace(word, events=tuple(events[:at] + right + events[at:]))
+    wa = word._replace(events=tuple(events[:at] + left + events[at:]))
+    wb = word._replace(events=tuple(events[:at] + right + events[at:]))
     try:
         analyze(wa)
         analyze(wb)
@@ -245,10 +244,10 @@ def add_kink(word: Word, at: int, pos: int, rot: int, sign: int) -> Optional[Wor
             patch = [Event(CUP, pos + 1, LEFTMOVING, colour),
                      Event(XING, pos, None), Event(CAP, pos, RIGHTMOVING)]
     tag = OVER_LEFT if oriented_sign(mid[0], mid[1], OVER_LEFT) == sign else OVER_RIGHT
-    patch[1] = replace(patch[1], tag=tag)
+    patch[1] = patch[1]._replace(tag=tag)
     events = list(word.events)
     events[at:at] = patch
-    out = replace(word, events=tuple(events))
+    out = word._replace(events=tuple(events))
     try:
         analyze(out)
     except DiagramError:

@@ -25,6 +25,10 @@ def test_tracer_still_fits_the_package(tmp_path, monkeypatch, capsys):
     try:
         spans.install(tracer, sk)
         assert cli.main(["eval", str(trefoil)]) == 0
+        # the memo is keyed on `word_key` bytes, which the tracer's node
+        # count reads: keyed otherwise, every visit would count as a node
+        evaluated = dict(tracer.snapshot()["counts"])
+        assert 0 < evaluated["engine.nodes"] < evaluated["engine.visits"]
         assert cli.main(["coproduct", str(trefoil), "--format", "json"]) == 0
         assert cli.main(["verify", "framing-remark", "--corpus", str(tmp_path)]) == 0
     finally:

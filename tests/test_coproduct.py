@@ -1,7 +1,6 @@
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -219,6 +218,23 @@ def test_box_walk_does_no_per_leaf_scalar_work(monkeypatch):
         assert len(made) == len(element.terms), orients
 
 
+def test_box_walk_slot_words_are_parsed_words():
+    # The walk builds its slot events itself, their colour left at the
+    # GREEN default. `CoproductElement.add` merges terms, and `verify
+    # mult` compares whole elements, on word equality, so a walk-built
+    # word must be the value the parser makes from its own text.
+    rng = random.Random(5)
+    words = [w for _, w in corpus.load_builtin()] + [random_word(rng) for _ in range(20)]
+    checked = 0
+    for w in words:
+        for slot_words in C.coproduct_diagram(w).terms:
+            for sw in slot_words:
+                parsed = T.parse_morse(T.render_morse(sw))
+                assert parsed == sw and hash(parsed) == hash(sw), T.render_morse(sw)
+                checked += 1
+    assert checked == 1186
+
+
 def test_path_agreement_on_corpus(plane_corpus, shared_memo):
     for name, w in plane_corpus:
         lhs = C.coproduct_diagram(w).evaluate(shared_memo)
@@ -432,7 +448,7 @@ def _seeded_annulus_words(seed, count):
                 for _ in range(rng.randint(0, 4))] if n > 1 else []
         w = T.desugar_braid(n, gens, False)
         for framing in (RADIAL, BLACKBOARD):
-            yield replace(w, framing=framing)
+            yield w._replace(framing=framing)
 
 
 def test_annulus_power_coproduct_is_the_product_term_by_term():
