@@ -15,8 +15,6 @@ import sys
 from . import coproduct, corpus, diagrams, engine, jaeger, scalars, textio
 from .diagrams import ANNULUS, Word
 
-IDENTITIES = ("jaeger", "coassoc", "counit", "mult", "framing-remark")
-
 
 class CliError(ValueError):
     pass
@@ -86,7 +84,7 @@ def cmd_verify(args, _word) -> int:
         entries = corpus.load_builtin()
     else:
         entries = corpus.load_path(args.corpus)
-    idents = IDENTITIES if args.identity == "all" else (args.identity,)
+    idents = coproduct.IDENTITIES if args.identity == "all" else (args.identity,)
     memo = {}  # one for every suite: a word resolved once serves them all
     reports = [coproduct.verify(i, entries, memo) for i in idents]
     failures = 0
@@ -137,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_iterate)
 
     p = sub.add_parser("verify", help="run identity suites over a corpus")
-    p.add_argument("identity", choices=IDENTITIES + ("all",))
+    p.add_argument("identity", choices=coproduct.IDENTITIES + ("all",))
     p.add_argument("--corpus", default="builtin",
                    help="builtin, a .mw file, or a directory of them")
     p.add_argument("--deterministic", action="store_true",

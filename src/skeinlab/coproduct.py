@@ -312,6 +312,9 @@ def _same_annulus_element(lhs: CoproductElement, rhs: CoproductElement,
 # -- identity suites -------------------------------------------------------
 
 
+IDENTITIES = ("jaeger", "coassoc", "counit", "mult", "framing-remark")
+
+
 @dataclass
 class Report:
     identity: str
@@ -325,6 +328,14 @@ class Report:
         if not ok:
             self.failures += 1
 
+    def compare(self, name: str, *pairs) -> None:
+        """Record whether the values of the (label, Scalar) pairs are all
+        equal; a failure's witness is each `label value`, joined by ` vs `."""
+        first = pairs[0][1]
+        ok = all(value == first for _, value in pairs[1:])
+        self.record(name, ok, "" if ok else " vs ".join(
+            f"{label} {scalars.pretty(value)}" for label, value in pairs))
+
     @property
     def ok(self) -> bool:
         return self.failures == 0
@@ -333,19 +344,15 @@ class Report:
         return "\n".join(self.lines)
 
 
-def _core_words() -> tuple:
-    radial = Word(ANNULUS, RADIAL, ((UP, GREEN),), ())
-    blackboard = Word(ANNULUS, BLACKBOARD, ((UP, GREEN),), ())
-    return radial, blackboard
-
-
 def verify(identity: str, corpus, memo: Optional[dict] = None) -> Report:
-    """Run one of the named identities over (name, word) pairs.
+    """Run one of the named `IDENTITIES` over (name, word) pairs.
 
     On the annulus, `mult` stacks the first entry w of each framing and
     compares Δ(w^k) with Δ(w)^k for k = 2, 3 as formal sums; only when
     the two sums differ does it build the separating eval family of each.
     """
+    if identity not in IDENTITIES:
+        raise CoproductError(f"unknown identity {identity!r}")
     if memo is None:
         memo = {}
     report = Report(identity)
@@ -354,42 +361,28 @@ def verify(identity: str, corpus, memo: Optional[dict] = None) -> Report:
 
     if identity == "jaeger":
         for name, w in plane_words:
-            lhs = jaeger.state_sum(w, 2, memo)
-            mid = coproduct_diagram(w).evaluate(memo)
-            rhs = scalars.scalar_coproduct(engine.eval_one_colour(w, memo))
-            ok = lhs == rhs and mid == rhs
-            report.record(name, ok,
-                          "" if ok else f"state sum {scalars.pretty(lhs)} vs "
-                                        f"boxes {scalars.pretty(mid)} vs "
-                                        f"ring {scalars.pretty(rhs)}")
+            report.compare(name, ("state sum", jaeger.state_sum(w, 2, memo)),
+                           ("boxes", coproduct_diagram(w).evaluate(memo)),
+                           ("ring", scalars.scalar_coproduct(
+                               engine.eval_one_colour(w, memo))))
     elif identity == "coassoc":
         for name, w in plane_words:
-            s3 = jaeger.state_sum(w, 3, memo)
-            left = coproduct_iterated(w, 3, "left").evaluate(memo)
-            right = coproduct_iterated(w, 3, "right").evaluate(memo)
-            ok = s3 == left == right
-            report.record(name, ok,
-                          "" if ok else f"3-label {scalars.pretty(s3)} vs "
-                                        f"left {scalars.pretty(left)} vs "
-                                        f"right {scalars.pretty(right)}")
+            report.compare(name, ("3-label", jaeger.state_sum(w, 3, memo)),
+                           ("left", coproduct_iterated(w, 3, "left").evaluate(memo)),
+                           ("right", coproduct_iterated(w, 3, "right").evaluate(memo)))
     elif identity == "counit":
         for name, w in plane_words:
             h = engine.eval_one_colour(w, memo)
             element = coproduct_diagram(w)
-            lhs = apply_counit(element, 2).evaluate(memo)
-            rhs = apply_counit(element, 1).evaluate(memo)
-            ok = lhs == h and rhs == h
-            report.record(name, ok,
-                          "" if ok else f"{scalars.pretty(lhs)} / {scalars.pretty(rhs)} "
-                                        f"vs {scalars.pretty(h)}")
+            report.compare(name, ("value", h),
+                           ("counit-2", apply_counit(element, 2).evaluate(memo)),
+                           ("counit-1", apply_counit(element, 1).evaluate(memo)))
     elif identity == "mult":
         valued = [(n, w, coproduct_diagram(w).evaluate(memo)) for n, w in plane_words]
         for (n1, w1, v1), (n2, w2, v2) in iproduct(valued, valued):
-            lhs = coproduct_diagram(diagrams.combine(w1, w2)).evaluate(memo)
-            rhs = v1 * v2
-            ok = lhs == rhs
-            report.record(f"{n1}|{n2}", ok,
-                          "" if ok else f"{scalars.pretty(lhs)} vs {scalars.pretty(rhs)}")
+            union = coproduct_diagram(diagrams.combine(w1, w2))
+            report.compare(f"{n1}|{n2}", ("union", union.evaluate(memo)),
+                           ("product", v1 * v2))
         by_framing: dict = {}
         for name, w in annulus_words:
             by_framing.setdefault(w.framing, []).append((name, w))
@@ -404,23 +397,16 @@ def verify(identity: str, corpus, memo: Optional[dict] = None) -> Report:
                 ok = _same_annulus_element(lhs, rhs, memo)
                 report.record(f"{entries[0][0]}^{k} ({framing})", ok,
                               "" if ok else "eval-family vectors differ")
-    elif identity == "framing-remark":
-        radial, blackboard = _core_words()
-        want_radial = CoproductElement(2, ANNULUS)
-        empty = Word(ANNULUS, RADIAL, (), ())
-        want_radial.add((radial, empty), scalars.integer(1, 2))
-        want_radial.add((empty, radial), scalars.integer(1, 2))
-        got_radial = coproduct_diagram(radial)
-        report.record("core radial", got_radial == want_radial,
-                      "" if got_radial == want_radial else got_radial.pretty())
-        emptyb = Word(ANNULUS, BLACKBOARD, (), ())
-        want_bb = CoproductElement(2, ANNULUS)
-        want_bb.add((blackboard, emptyb), scalars.a_power(2, 1, 2))
-        want_bb.add((emptyb, blackboard), scalars.a_power(1, -1, 2))
-        got_bb = coproduct_diagram(blackboard)
-        report.record("core blackboard", got_bb == want_bb,
-                      "" if got_bb == want_bb else got_bb.pretty())
-    else:
-        raise CoproductError(f"unknown identity {identity!r}")
+    else:  # framing-remark: Δ(core) = c1 core⊗1 + c2 1⊗core
+        for framing, c1, c2 in ((RADIAL, scalars.integer(1, 2), scalars.integer(1, 2)),
+                                (BLACKBOARD, scalars.a_power(2, 1, 2),
+                                 scalars.a_power(1, -1, 2))):
+            core = Word(ANNULUS, framing, ((UP, GREEN),), ())
+            empty = Word(ANNULUS, framing, (), ())
+            want = CoproductElement(2, ANNULUS)
+            want.add((core, empty), c1)
+            want.add((empty, core), c2)
+            got = coproduct_diagram(core)
+            ok = got == want
+            report.record(f"core {framing}", ok, "" if ok else got.pretty())
     return report
-

@@ -57,6 +57,7 @@ def total_rotation(word: Word) -> int:
 
 _CUP_PAIR = {RIGHTMOVING: (DOWN, UP), LEFTMOVING: (UP, DOWN)}
 _CAP_PAIR = {RIGHTMOVING: (UP, DOWN), LEFTMOVING: (DOWN, UP)}
+_FLIP = {OVER_LEFT: OVER_RIGHT, OVER_RIGHT: OVER_LEFT}
 
 
 class DiagramError(ValueError):
@@ -194,43 +195,7 @@ def analyze(word: Word) -> Analysis:
 
     for idx, ev in enumerate(word.events):
         width = len(strands)
-        if ev.kind == CUP:
-            if not 1 <= ev.pos <= width + 1:
-                raise DiagramError(f"cup position {ev.pos} outside 1..{width + 1}", idx)
-            if ev.tag not in _CUP_PAIR:
-                raise DiagramError(f"bad cup tag {ev.tag!r}", idx)
-            o_l, o_r = _CUP_PAIR[ev.tag]
-            l = new_slot(o_l, ev.colour)
-            r = new_slot(o_r, ev.colour)
-            strands[ev.pos - 1:ev.pos - 1] = [l, r]
-            extrema.append((idx, CUP, ev.tag, l, r))
-            if ev.tag == RIGHTMOVING:
-                nxt[l] = (r, None)
-            else:
-                nxt[r] = (l, None)
-        elif ev.kind == CAP:
-            if width < 2:
-                raise DiagramError(f"cap on a profile of {width} strands", idx)
-            if not 1 <= ev.pos <= width - 1:
-                raise DiagramError(f"cap position {ev.pos} outside 1..{width - 1}", idx)
-            if ev.tag not in _CAP_PAIR:
-                raise DiagramError(f"bad cap tag {ev.tag!r}", idx)
-            l, r = strands[ev.pos - 1], strands[ev.pos]
-            want = _CAP_PAIR[ev.tag]
-            got = (slot_orient[l], slot_orient[r])
-            if got != want:
-                raise DiagramError(
-                    f"cap orientation mismatch: expected {want}, found {got}", idx)
-            if slot_colour[l] != slot_colour[r]:
-                raise DiagramError(
-                    f"cap colour mismatch: {slot_colour[l]} vs {slot_colour[r]}", idx)
-            del strands[ev.pos - 1:ev.pos + 1]
-            extrema.append((idx, CAP, ev.tag, l, r))
-            if ev.tag == RIGHTMOVING:
-                nxt[l] = (r, None)
-            else:
-                nxt[r] = (l, None)
-        elif ev.kind == XING:
+        if ev.kind == XING:
             if width < 2:
                 raise DiagramError(f"crossing on a profile of {width} strands", idx)
             if not 1 <= ev.pos <= width - 1:
@@ -255,8 +220,41 @@ def analyze(word: Word) -> Analysis:
                 nxt[y] = (u, (ci, 1))
             else:
                 nxt[u] = (y, (ci, 1))
+            continue
+        if ev.kind == CUP:
+            if not 1 <= ev.pos <= width + 1:
+                raise DiagramError(f"cup position {ev.pos} outside 1..{width + 1}", idx)
+            if ev.tag not in _CUP_PAIR:
+                raise DiagramError(f"bad cup tag {ev.tag!r}", idx)
+            o_l, o_r = _CUP_PAIR[ev.tag]
+            l = new_slot(o_l, ev.colour)
+            r = new_slot(o_r, ev.colour)
+            strands[ev.pos - 1:ev.pos - 1] = [l, r]
+        elif ev.kind == CAP:
+            if width < 2:
+                raise DiagramError(f"cap on a profile of {width} strands", idx)
+            if not 1 <= ev.pos <= width - 1:
+                raise DiagramError(f"cap position {ev.pos} outside 1..{width - 1}", idx)
+            if ev.tag not in _CAP_PAIR:
+                raise DiagramError(f"bad cap tag {ev.tag!r}", idx)
+            l, r = strands[ev.pos - 1], strands[ev.pos]
+            want = _CAP_PAIR[ev.tag]
+            got = (slot_orient[l], slot_orient[r])
+            if got != want:
+                raise DiagramError(
+                    f"cap orientation mismatch: expected {want}, found {got}", idx)
+            if slot_colour[l] != slot_colour[r]:
+                raise DiagramError(
+                    f"cap colour mismatch: {slot_colour[l]} vs {slot_colour[r]}", idx)
+            del strands[ev.pos - 1:ev.pos + 1]
         else:
             raise DiagramError(f"unknown event kind {ev.kind!r}", idx)
+        # a cup or cap: a right-moving extremum runs from left to right
+        extrema.append((idx, ev.kind, ev.tag, l, r))
+        if ev.tag == RIGHTMOVING:
+            nxt[l] = (r, None)
+        else:
+            nxt[r] = (l, None)
 
     if word.surface == PLANE:
         if strands:
@@ -330,9 +328,8 @@ def flip_crossing(word: Word, event_index: int) -> Word:
     e = word.events[event_index]
     if e.kind != XING:
         raise DiagramError("not a crossing", event_index)
-    flip = {OVER_LEFT: OVER_RIGHT, OVER_RIGHT: OVER_LEFT}
     events = word.events
-    return word._replace(events=events[:event_index] + (e._replace(tag=flip[e.tag]),)
+    return word._replace(events=events[:event_index] + (e._replace(tag=_FLIP[e.tag]),)
                          + events[event_index + 1:])
 
 
@@ -361,16 +358,15 @@ def _normalize_one(e: Event, orients: tuple) -> list:
     """Rewrite the crossing event e into cup/cap conjugates of an up-up
     crossing; returns the replacement event list."""
     p = e.pos
-    flip = {OVER_LEFT: OVER_RIGHT, OVER_RIGHT: OVER_LEFT}
     if orients == (UP, UP):
         return [e]
     if orients == (UP, DOWN):
         return [Event(CUP, p, RIGHTMOVING, e.colour),
-                Event(XING, p + 1, flip[e.tag]),
+                Event(XING, p + 1, _FLIP[e.tag]),
                 Event(CAP, p + 2, RIGHTMOVING)]
     if orients == (DOWN, UP):
         return [Event(CUP, p + 2, LEFTMOVING, e.colour),
-                Event(XING, p + 1, flip[e.tag]),
+                Event(XING, p + 1, _FLIP[e.tag]),
                 Event(CAP, p, LEFTMOVING)]
     return [Event(CUP, p + 2, LEFTMOVING, e.colour),
             Event(CUP, p + 3, LEFTMOVING, e.colour),

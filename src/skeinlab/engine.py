@@ -71,17 +71,15 @@ def _require_closed_plane(word: Word) -> None:
                         "annulus elements need the coproduct machinery")
 
 
-def _first_bad(ana) -> Optional[int]:
-    """Index of the first crossing traversed under before over, if any."""
+def _bad_crossings(ana, order=None, basepoints=None):
+    """Indices of the crossings traversed under before over, in traversal
+    order; `order` and `basepoints` go to `diagrams.passage_sequence`."""
     seen = set()
-    for ci, strand in diagrams.passage_sequence(ana):
-        if ci in seen:
-            continue
-        seen.add(ci)
-        over = 0 if ana.crossings[ci].tag == OVER_LEFT else 1
-        if strand != over:
-            return ci
-    return None
+    for ci, strand in diagrams.passage_sequence(ana, order, basepoints):
+        if ci not in seen:
+            seen.add(ci)
+            if strand != (0 if ana.crossings[ci].tag == OVER_LEFT else 1):
+                yield ci
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +148,7 @@ def _resolve(word: Word, memo: dict, state: list) -> list:
     if state[0] < 0:
         raise BudgetError("skein resolution", state[1], "nodes", word)
     ana = analyze(word)
-    bad = _first_bad(ana)
+    bad = next(_bad_crossings(ana), None)
     if bad is None:
         sw = sum(c.self_writhe for c in ana.components)
         poly = {(0, sw, len(ana.components)): 1}
@@ -191,16 +189,7 @@ def _naive(word: Word, rng, carried, state) -> Scalar:
         basepoints = {comp.index: rng.choice(members[comp.index])
                       for comp in ana.components}
         carried = (order, basepoints)
-    order, basepoints = carried
-    seen = set()
-    bads = []
-    for ci, strand in diagrams.passage_sequence(ana, order, basepoints):
-        if ci in seen:
-            continue
-        seen.add(ci)
-        over = 0 if ana.crossings[ci].tag == OVER_LEFT else 1
-        if strand != over:
-            bads.append(ci)
+    bads = list(_bad_crossings(ana, *carried))
     if not bads:
         return _base_value(ana)
     cross = ana.crossings[rng.choice(bads)]

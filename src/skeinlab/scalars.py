@@ -353,7 +353,7 @@ def specialize(s: Scalar, values: Iterable) -> Scalar:
     """Substitute a_i = q^{N_i}; exact, result an arity-0 Laurent polynomial."""
     ns = list(values)
     if len(ns) != s.arity:
-        raise ArityError(f"expected {s.arity} integers, got {len(ns)}")
+        raise ArityError(f"expected {s.arity} integer{'s' * (s.arity != 1)}, got {len(ns)}")
     out: dict = {}
     for expo, c in s.terms.items():
         key = (expo[0] + sum(n * ea for n, ea in zip(ns, expo[1:])),)

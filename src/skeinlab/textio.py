@@ -177,11 +177,11 @@ def parse_morse(text: str, framing: Optional[str] = None) -> Word:
             except SemanticError as err:
                 raise SemanticError(str(err), lineno) from None
             if profile:
-                raise SemanticError("braid clause and explicit profile conflict")
+                raise SemanticError("braid clause and explicit profile conflict", lineno)
             if braid.surface != surface:
                 raise SemanticError("closed braid is a plane word" if close else
                                     "open braid is an annulus word; "
-                                    "say 'surface annulus' or close it")
+                                    "say 'surface annulus' or close it", lineno)
             profile, events = braid.profile, braid.events
         else:
             raise GrammarError(f"unknown directive {head!r}", lineno,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 from collections import Counter
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from skeinlab import cli, coproduct, diagrams, engine, jaeger, textio
+from skeinlab import cli, coproduct, diagrams, engine, jaeger, scalars, textio
+from skeinlab.diagrams import Word
 
 REGRESSIONS = Path(__file__).parent / "regressions"
 
@@ -320,3 +322,96 @@ def test_usage_errors_are_one_line(trefoil_file, capsys):
         cli.main(["--help"])
     assert exit_.value.code == 0
     assert "{eval,coproduct,jaeger,iterate,verify}" in capsys.readouterr().out
+
+
+def test_braid_profile_conflict_names_its_line(tmp_path, capsys):
+    p = tmp_path / "conflict.mw"
+    p.write_text("surface annulus\nframing radial\nprofile ^g\nbraid 1:\n", encoding="utf-8")
+    assert _one_line_error(capsys, ["eval", str(p)]) == (
+        "skeinlab: error: braid clause and explicit profile conflict at line 4\n")
+
+
+def test_braid_surface_mismatch_names_its_line(tmp_path, capsys):
+    for body, message in (
+            ("surface annulus\nbraid 2: 1 ; close\n",
+             "closed braid is a plane word at line 2"),
+            ("braid 2: 1\n", "open braid is an annulus word; say 'surface annulus' "
+                             "or close it at line 1")):
+        p = tmp_path / "mismatch.mw"
+        p.write_text(body, encoding="utf-8")
+        assert _one_line_error(capsys, ["eval", str(p)]) == f"skeinlab: error: {message}\n"
+
+
+def test_eval_t_count_mismatch_message(trefoil_file, capsys):
+    err = _one_line_error(capsys, ["eval", trefoil_file, "--t", "1,2"])
+    assert err == "skeinlab: error: expected 1 integer, got 2\n"
+
+
+def test_verify_choices_are_the_identities():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    identity = next(a for a in sub.choices["verify"]._actions if a.dest == "identity")
+    assert tuple(identity.choices) == coproduct.IDENTITIES + ("all",)
+
+
+def test_verify_refuses_an_unknown_identity_before_any_work():
+    def untouched():
+        raise AssertionError("the corpus was read")
+        yield
+    with pytest.raises(coproduct.CoproductError, match="unknown identity 'bogus'"):
+        coproduct.verify("bogus", untouched())
+
+
+def _plus_one(fn):
+    """fn with 1 added to its Scalar result."""
+    def wrong(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        return value + scalars.Scalar.one(value.arity)
+    return wrong
+
+
+def _wrong_counit_1(monkeypatch):
+    apply_counit = coproduct.apply_counit
+
+    def wrong(element, slot):
+        out = apply_counit(element, slot)
+        if slot == 1:
+            out.add((Word(),), scalars.Scalar.one(1))  # the empty word is 1
+        return out
+    monkeypatch.setattr(coproduct, "apply_counit", wrong)
+
+
+def _wrong_union(monkeypatch):
+    combine = diagrams.combine
+    unknot = textio.parse_morse("cup 1 >\ncap 1 <\n")
+    monkeypatch.setattr(diagrams, "combine", lambda a, b: combine(combine(a, b), unknot))
+
+
+WRONG_VALUE = {
+    "jaeger": (lambda mp: mp.setattr(scalars, "scalar_coproduct",
+                                     _plus_one(scalars.scalar_coproduct)),
+               ("state sum", "boxes", "ring")),
+    "coassoc": (lambda mp: mp.setattr(jaeger, "state_sum", _plus_one(jaeger.state_sum)),
+                ("3-label", "left", "right")),
+    "counit": (_wrong_counit_1, ("value", "counit-2", "counit-1")),
+    "mult": (_wrong_union, ("union", "product")),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(WRONG_VALUE))
+def test_one_wrong_value_fails_once_naming_every_label(tmp_path, capsys, monkeypatch,
+                                                       identity):
+    (tmp_path / "trefoil.mw").write_text("braid 2: 1 1 1 ; close\n", encoding="utf-8")
+    break_one_value, labels = WRONG_VALUE[identity]
+    break_one_value(monkeypatch)
+    assert cli.main(["verify", identity, "--corpus", str(tmp_path)]) == 2
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("FAIL  ")]
+    assert len(fails) == 1
+    head, witness = fails[0].split("  [")
+    assert head.startswith(f"FAIL  {identity}  trefoil") and witness.endswith("]")
+    parts = witness[:-1].split(" vs ")
+    assert len(parts) == len(labels)
+    assert all(part.startswith(label + " ") for part, label in zip(parts, labels))
+    # one value is wrong, the others agree
+    assert len({part[len(label) + 1:] for part, label in zip(parts, labels)}) == 2

@@ -17,6 +17,12 @@ three orientation patterns, on the trefoil and the Hopf link with 0-4
 unknots beside them, and on the two-strand annulus profiles `^ ^` and
 `^ v` in both framings, then `iterate --slots 3` on two small words.
 
+`tests/regressions/golden-bench-seed12.txt` holds one line per seed-12
+call of the benchmark's three workloads, built by bench/inputs.py and
+bench/run.py `write_case`: the SHA-256 of its exit code, stdout and
+stderr, with the work directory masked. The 1200-event unlink is left
+out; `test_deep_unlink_answers_or_diagnoses` covers it.
+
 The `## Library` block of README.md runs as written, and its commented
 lines are the pretty coproduct of the annulus core that it ends with.
 
@@ -29,8 +35,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -41,6 +49,10 @@ from conftest import random_word
 GOLDEN = Path(__file__).parent / "regressions" / "golden-builtin.txt"
 GOLDEN_MULTI = Path(__file__).parent / "regressions" / "golden-multicolour.txt"
 GOLDEN_COPRODUCT = Path(__file__).parent / "regressions" / "golden-coproduct.txt"
+GOLDEN_BENCH = Path(__file__).parent / "regressions" / "golden-bench-seed12.txt"
+BENCH = Path(__file__).parent.parent / "bench"
+BENCH_WORKLOADS = ("braid-eval", "split-coproduct", "verify-fuzz")
+BENCH_SEED = 12
 README = Path(__file__).parent.parent / "README.md"
 
 COMMANDS = (
@@ -165,6 +177,24 @@ def render_coproduct_golden() -> str:
     return "".join(lines)
 
 
+def render_bench_golden(run) -> str:
+    """One line per benchmark call; `run` is bench/run.py, imported with
+    bench/ on the path."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in BENCH_WORKLOADS:
+            work = Path(tmp) / workload
+            work.mkdir()
+            for case in run.inputs.WORKLOADS[workload](BENCH_SEED):
+                if case.name == f"unlink-{run.inputs.LONG_UNLINK}-ccw":
+                    continue
+                rc, out, err = _capture(run.write_case(case, work))
+                text = f"exit {rc}\n--- stdout\n{out}--- stderr\n{err}"
+                digest = hashlib.sha256(text.replace(str(work), "<work>").encode())
+                lines.append(f"{workload} {case.name}  {digest.hexdigest()}\n")
+    return "".join(lines)
+
+
 def test_builtin_outputs_match_golden_file():
     assert render_golden() == GOLDEN.read_text(encoding="utf-8")
 
@@ -176,6 +206,11 @@ def test_multicolour_outputs_match_golden_file():
 def test_coproduct_outputs_match_golden_digests():
     assert render_coproduct_golden() == GOLDEN_COPRODUCT.read_text(encoding="utf-8")
 
+
+def test_bench_calls_match_golden_digests(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = importlib.import_module("run")
+    assert render_bench_golden(run) == GOLDEN_BENCH.read_text(encoding="utf-8")
 
 
 def test_readme_library_block_runs_and_shows_its_output():
@@ -195,3 +230,6 @@ if __name__ == "__main__":
     GOLDEN.write_text(render_golden(), encoding="utf-8")
     GOLDEN_MULTI.write_text(render_multicolour_golden(), encoding="utf-8")
     GOLDEN_COPRODUCT.write_text(render_coproduct_golden(), encoding="utf-8")
+    sys.path.insert(0, str(BENCH))
+    GOLDEN_BENCH.write_text(render_bench_golden(importlib.import_module("run")),
+                            encoding="utf-8")
