@@ -2,14 +2,15 @@
 
 Commands: eval, coproduct, jaeger, iterate, verify. Inputs are diagram
 files in the line grammar of skeinlab.textio ("-" reads from stdin).
-Exit codes: 0 success, 1 usage or input error, 2 verification failure.
+Exit codes: 0 success, 1 usage or input error (or an output pipe that
+its reader closed), 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
 import sys
 
 from . import coproduct, corpus, diagrams, engine, jaeger, scalars, textio
@@ -29,10 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(value, fmt: str) -> None:
     if isinstance(value, coproduct.CoproductElement):
-        if fmt == "json":
-            print(json.dumps(value.to_json(), indent=2, sort_keys=True))
-        else:
-            print(value.pretty())
+        print(value.json_text() if fmt == "json" else value.pretty())
     else:
         print(textio.render(value, fmt))
 
@@ -162,6 +160,12 @@ def main(argv=None) -> int:
             jaeger.StateSumError, coproduct.CoproductError, scalars.ArityError,
             scalars.SpecializeError) as err:
         print(f"skeinlab: error: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does. Point stdout at the
+        # null device, so that the interpreter's flush at exit cannot
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

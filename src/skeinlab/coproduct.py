@@ -31,6 +31,7 @@ every alternative and shows this choice is the only survivor.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Optional
@@ -92,24 +93,47 @@ class CoproductElement:
             memo = {}
         return engine.eval_terms(self.terms.items(), self.slots, memo)
 
-    def to_json(self) -> dict:
-        rows = []
-        for words, coeff in self.terms.items():
-            rows.append({
-                "coeff": scalars.to_json(coeff),
-                "diagrams": [textio.render_morse(w) for w in words],
-            })
-        rows.sort(key=lambda r: r["diagrams"])
-        return {"slots": self.slots, "surface": self.surface, "terms": rows}
+    def _slot_texts(self) -> dict:
+        """The `textio.render_morse` text of each distinct slot word,
+        rendered once per element."""
+        texts: dict = {}
+        for words in self.terms:
+            for w in words:
+                if w not in texts:
+                    texts[w] = textio.render_morse(w)
+        return texts
+
+    def json_text(self) -> str:
+        """The element as JSON, `{"slots": n, "surface": s, "terms":
+        [{"coeff": scalar, "diagrams": [text, ...]}, ...]}` with `indent=2`
+        and sorted keys, rows in the order of their diagram texts: the bytes
+        `json.dumps` writes, filled into templates for this fixed shape.
+        Each distinct slot word is rendered and quoted once, and each
+        distinct coefficient written once."""
+        texts = self._slot_texts()
+        quoted = {w: json.dumps(t) for w, t in texts.items()}
+        pad = " " * 6  # a row's keys
+        written = {c: textio.scalar_json(c, pad) for c in set(self.terms.values())}
+        rows = [f'{{\n{pad}"coeff": {written[coeff]},'
+                f'\n{pad}"diagrams": {textio.json_list([quoted[w] for w in words], pad)}'
+                f'\n    }}'
+                for words, coeff in sorted(self.terms.items(),
+                                           key=lambda kv: [texts[w] for w in kv[0]])]
+        return (f'{{\n  "slots": {self.slots},\n  "surface": {json.dumps(self.surface)},'
+                f'\n  "terms": {textio.json_list(rows, "  ")}\n}}')
 
     def pretty(self) -> str:
-        lines = []
-        for words, coeff in sorted(self.terms.items(),
-                                   key=lambda kv: tuple(diagrams.word_key(w) for w in kv[0])):
-            docs = [textio.EMPTY_TOKEN if _is_empty(w)
-                    else textio.render_morse(w).replace("\n", "; ").rstrip("; ")
-                    for w in words]
-            lines.append(f"({scalars.pretty(coeff)})  *  [" + " | ".join(docs) + "]")
+        """One line per term, `(coefficient)  *  [slot | slot]`, in the
+        order of the slot words' keys. Each distinct slot word is rendered
+        and keyed once, and each distinct coefficient written once."""
+        texts = self._slot_texts()
+        keys = {w: diagrams.word_key(w) for w in texts}
+        docs = {w: textio.EMPTY_TOKEN if _is_empty(w)
+                else t.replace("\n", "; ").rstrip("; ") for w, t in texts.items()}
+        shown = {c: scalars.pretty(c) for c in set(self.terms.values())}
+        lines = [f"({shown[coeff]})  *  [" + " | ".join(docs[w] for w in words) + "]"
+                 for words, coeff in sorted(self.terms.items(),
+                                            key=lambda kv: [keys[w] for w in kv[0]])]
         return "\n".join(lines) if lines else "0"
 
 
@@ -164,48 +188,70 @@ def coproduct_diagram(word: Word) -> CoproductElement:
     limit = DEFAULT_BUDGET
     left = [limit]  # walk calls left
 
-    # Slot-event sequences grow with the walk as tuples of Events, and a
-    # leaf only adds its sign into `acc`: no Word or Scalar is built until
-    # the walk ends. The walk visits every branch and recurses, so the
+    # Each slot sequence grows with the walk as a tuple of Events, one
+    # Event object per (kind, slot position, tag) in a call; a leaf only
+    # adds its sign into `acc`, so no Word or Scalar is built until the
+    # walk ends. The extremum dressings of both labels are looked up once
+    # per call. The walk visits every branch and recurses, so the
     # recursion limit bounds its depth, until the merged-state frontier
-    # (ROADMAP item 2) replaces it.
-    def walk(i, labels, slots, sign, s_pow, e1, e2):
+    # (ROADMAP item 2) replaces it. Merging states belongs to that
+    # frontier: a memo on (event index, labels) here holds every suffix.
+    interned: dict = {}
+    dressing = {(kind, tag): (_dressing(1, kind, tag), _dressing(2, kind, tag))
+                for kind in (CUP, CAP) for tag in (RIGHTMOVING, LEFTMOVING)}
+
+    def event(kind, p, tag):
+        ev = interned.get((kind, p, tag))
+        if ev is None:
+            ev = interned[kind, p, tag] = Event(kind, p, tag)
+        return ev
+
+    def walk(i, labels, s1, s2, sign, s_pow, e1, e2):
         left[0] -= 1
         if left[0] < 0:
             raise engine.BudgetError("coproduct_diagram", limit, "walk calls", word)
         if i == end:
             if labels == start_labels:
-                coeffs = acc.setdefault((start_labels,) + slots, {})
+                coeffs = acc.setdefault((start_labels, s1, s2), {})
                 key = (s_pow, e1, e2)
                 coeffs[key] = coeffs.get(key, 0) + sign
             return
         kind, pos, tag, _ = events[i]
+        before = labels[:pos - 1]
         if kind == CUP:
-            for c in (1, 2):
-                d1, d2 = _dressing(c, CUP, tag)
-                walk(i + 1, labels[:pos - 1] + (c, c) + labels[pos - 1:],
-                     _append(slots, c, Event(CUP, labels[:pos - 1].count(c) + 1, tag)),
-                     sign, s_pow, e1 + d1, e2 + d2)
+            after = labels[pos - 1:]
+            (d1, d2), (f1, f2) = dressing[CUP, tag]
+            walk(i + 1, before + (1, 1) + after,
+                 s1 + (event(CUP, before.count(1) + 1, tag),), s2,
+                 sign, s_pow, e1 + d1, e2 + d2)
+            walk(i + 1, before + (2, 2) + after,
+                 s1, s2 + (event(CUP, before.count(2) + 1, tag),),
+                 sign, s_pow, e1 + f1, e2 + f2)
         elif kind == CAP:
             c = labels[pos - 1]
             if c != labels[pos]:
                 return
-            d1, d2 = _dressing(c, CAP, tag)
-            walk(i + 1, labels[:pos - 1] + labels[pos + 1:],
-                 _append(slots, c, Event(CAP, labels[:pos - 1].count(c) + 1, tag)),
-                 sign, s_pow, e1 + d1, e2 + d2)
+            d1, d2 = dressing[CAP, tag][c - 1]
+            ev = (event(CAP, before.count(c) + 1, tag),)
+            rest = before + labels[pos + 1:]
+            if c == 1:
+                walk(i + 1, rest, s1 + ev, s2, sign, s_pow, e1 + d1, e2 + d2)
+            else:
+                walk(i + 1, rest, s1, s2 + ev, sign, s_pow, e1 + d1, e2 + d2)
         else:
             cl, cr = labels[pos - 1], labels[pos]
-            swapped = labels[:pos - 1] + (cr, cl) + labels[pos + 1:]
-            if cl == cr:
-                walk(i + 1, swapped,
-                     _append(slots, cl, Event(XING, labels[:pos - 1].count(cl) + 1, tag)),
+            if cl != cr:
+                walk(i + 1, before + (cr, cl) + labels[pos + 1:],
+                     s1, s2, sign, s_pow, e1, e2)
+            elif cl == 1:
+                walk(i + 1, labels, s1 + (event(XING, before.count(1) + 1, tag),), s2,
                      sign, s_pow, e1, e2)
             else:
-                walk(i + 1, swapped, slots, sign, s_pow, e1, e2)
+                walk(i + 1, labels, s1, s2 + (event(XING, before.count(2) + 1, tag),),
+                     sign, s_pow, e1, e2)
             if _cut_eligible(cl, cr, tag):
                 xsign = 1 if tag == OVER_LEFT else -1
-                walk(i + 1, labels, slots, sign * xsign, s_pow + 1, e1, e2)
+                walk(i + 1, labels, s1, s2, sign * xsign, s_pow + 1, e1, e2)
 
     winding = nw.surface == ANNULUS and nw.framing == BLACKBOARD
     for start_labels in iproduct((1, 2), repeat=len(nw.profile)):
@@ -215,7 +261,7 @@ def coproduct_diagram(word: Word) -> CoproductElement:
                 d1, d2 = _winding(o, c)
                 e1 += d1
                 e2 += d2
-        walk(0, start_labels, ((), ()), 1, 0, e1, e2)
+        walk(0, start_labels, (), (), 1, 0, e1, e2)
 
     out = CoproductElement(2, word.surface)
     while acc:
@@ -232,12 +278,6 @@ def coproduct_diagram(word: Word) -> CoproductElement:
             for c, seq in zip((1, 2), slots))
         out.add(words, Scalar(2, terms))
     return out
-
-
-def _append(slots: tuple, c: int, ev: Event) -> tuple:
-    """The pair of slot-event sequences with `ev` added to slot c."""
-    s1, s2 = slots
-    return (s1 + (ev,), s2) if c == 1 else (s1, s2 + (ev,))
 
 
 def apply_counit(element: CoproductElement, slot: int) -> CoproductElement:
@@ -335,10 +375,6 @@ class Report:
         ok = all(value == first for _, value in pairs[1:])
         self.record(name, ok, "" if ok else " vs ".join(
             f"{label} {scalars.pretty(value)}" for label, value in pairs))
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
 
     def text(self) -> str:
         return "\n".join(self.lines)

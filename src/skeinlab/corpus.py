@@ -63,7 +63,3 @@ def load_path(path: str) -> list:
     except OSError as err:
         raise CorpusError(f"cannot read {path}: {err}") from None
     return [(fn[:-3], _load_file(os.path.join(path, fn))) for fn in names]
-
-
-def builtin_word(name: str) -> Word:
-    return textio.parse_morse(BUILTIN_SOURCES[name])

@@ -297,20 +297,15 @@ def analyze(word: Word) -> Analysis:
                     bottom, strands, nxt, components, slot_component)
 
 
-def passage_sequence(ana: Analysis, order: Optional[list] = None,
-                     basepoints: Optional[dict] = None) -> list:
-    """Flatten crossing passages by walking each component from its basepoint.
+def passage_sequence(ana: Analysis) -> list:
+    """Flatten crossing passages by walking each component from its
+    basepoint, components in basepoint order.
 
     Returns a list of (crossing index, strand id) in traversal order.
-    Components default to basepoint order; both the component order and the
-    per-component starting slot can be overridden (the naive resolver feeds
-    randomized choices here).
     """
-    comps = list(ana.components) if order is None else [ana.components[i] for i in order]
     out = []
-    for comp in comps:
-        start = comp.basepoint if basepoints is None else basepoints[comp.index]
-        slot = start
+    for comp in ana.components:
+        start = slot = comp.basepoint
         while True:
             nxt, passage = ana.nxt[slot]
             if passage is not None:

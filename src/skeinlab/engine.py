@@ -26,15 +26,10 @@ converts the root once to the canonical Scalar
 Memoization is keyed on the exact serialized bytes of the reduced word;
 each memo value is a pair [polynomial, Scalar or None], the second slot
 caching the conversion for words that were evaluated as roots.
-The randomized oracle `naive_eval` does no reduction and computes in
-Scalar arithmetic throughout, so it stays an independent check on both
-the memoized path and its polynomial arithmetic.
 """
 
 from __future__ import annotations
 
-import random
-from functools import lru_cache
 from typing import Optional
 
 from . import diagrams
@@ -48,11 +43,10 @@ DEFAULT_BUDGET = 2_000_000
 
 class BudgetError(RuntimeError):
     """A stage that ran past its work limit. Every budget in the package
-    reports through this one type: the skein resolver and `naive_eval`
-    (nodes), `coproduct.coproduct_diagram` (walk calls) and
-    `jaeger.state_sum` (labellings). The message names the stage, the
-    limit and the offending word; `word` keeps the full word and `budget`
-    the limit."""
+    reports through this one type: the skein resolver (nodes),
+    `coproduct.coproduct_diagram` (walk calls) and `jaeger.state_sum`
+    (labellings). The message names the stage, the limit and the
+    offending word; `word` keeps the full word and `budget` the limit."""
 
     def __init__(self, stage: str, limit: int, unit: str, word: Word):
         self.word = word
@@ -71,26 +65,15 @@ def _require_closed_plane(word: Word) -> None:
                         "annulus elements need the coproduct machinery")
 
 
-def _bad_crossings(ana, order=None, basepoints=None):
+def _bad_crossings(ana):
     """Indices of the crossings traversed under before over, in traversal
-    order; `order` and `basepoints` go to `diagrams.passage_sequence`."""
+    order."""
     seen = set()
-    for ci, strand in diagrams.passage_sequence(ana, order, basepoints):
+    for ci, strand in diagrams.passage_sequence(ana):
         if ci not in seen:
             seen.add(ci)
             if strand != (0 if ana.crossings[ci].tag == OVER_LEFT else 1):
                 yield ci
-
-
-@lru_cache(maxsize=None)
-def _loop_power(loops: int) -> Scalar:
-    """d^loops; Scalars are immutable, so the cached values are shared."""
-    return scalars.delta(1, 1) ** loops
-
-
-def _base_value(ana) -> Scalar:
-    sw = sum(c.self_writhe for c in ana.components)
-    return scalars.monomial(1, 1, a=[sw]) * _loop_power(len(ana.components))
 
 
 def reduce_r2(word: Word) -> Word:
@@ -159,44 +142,6 @@ def _resolve(word: Word, memo: dict, state: list) -> list:
         smoothed = _resolve(reduce_r2(smooth_crossing(word, cross)), memo, state)
         poly = _step(flipped[0], smoothed[0], cross.sign)
     return memo.setdefault(key, [poly, None])
-
-
-def naive_eval(word: Word, rng: Optional[random.Random] = None) -> Scalar:
-    """Full binary skein tree with randomized choices and no memo table.
-
-    Component order, basepoints and which bad crossing to rewrite are all
-    randomized. The traversal draw is kept fixed along chains of crossing
-    flips (so the bad count decreases) and redrawn after each smoothing.
-    At most `DEFAULT_BUDGET` nodes are visited.
-    """
-    _require_closed_plane(word)
-    rng = rng or random.Random(0)
-    state = [DEFAULT_BUDGET, DEFAULT_BUDGET]  # nodes left, limit
-    return _naive(word, rng, None, state)
-
-
-def _naive(word: Word, rng, carried, state) -> Scalar:
-    state[0] -= 1
-    if state[0] < 0:
-        raise BudgetError("skein resolution", state[1], "nodes", word)
-    ana = analyze(word)
-    if carried is None:
-        order = list(range(len(ana.components)))
-        rng.shuffle(order)
-        members = [[] for _ in ana.components]
-        for s, ci in enumerate(ana.slot_component):
-            members[ci].append(s)
-        basepoints = {comp.index: rng.choice(members[comp.index])
-                      for comp in ana.components}
-        carried = (order, basepoints)
-    bads = list(_bad_crossings(ana, *carried))
-    if not bads:
-        return _base_value(ana)
-    cross = ana.crossings[rng.choice(bads)]
-    flipped = _naive(flip_crossing(word, cross.event_index), rng, carried, state)
-    smoothed = _naive(smooth_crossing(word, cross), rng, None, state)
-    s = scalars.q_minus_qinv(1)
-    return flipped + cross.sign * (s * smoothed)
 
 
 def eval_terms(terms, n: int, memo: dict) -> Scalar:

@@ -27,10 +27,6 @@ class ArityError(ValueError):
     """Operands live in tensor powers of different sizes."""
 
 
-class CounitUndefinedError(ValueError):
-    """Counit applied to an element with a genuine (q - q^-1) pole."""
-
-
 class SpecializeError(ValueError):
     """Integer specialization did not produce a Laurent polynomial in q."""
 
@@ -226,10 +222,6 @@ def monomial(arity: int, coeff: int = 1, q: int = 0, a=()) -> Scalar:
     return Scalar(arity, {(q,) + exps: coeff})
 
 
-def q_power(e: int, arity: int) -> Scalar:
-    return monomial(arity, 1, q=e)
-
-
 def a_power(slot: int, e: int, arity: int) -> Scalar:
     """The generator a_slot^e, 1-based slot."""
     if not 1 <= slot <= arity:
@@ -328,7 +320,7 @@ def counit_slot(s: Scalar, slot: int) -> Scalar:
     """Set a_slot to 1 and drop the slot, re-reducing the canonical form.
 
     The remaining slots may legitimately keep a (q - q^-1) denominator,
-    so unlike scalar_counit this never raises.
+    so this never raises.
     """
     if not 1 <= slot <= s.arity:
         raise ArityError(f"slot {slot} out of range for arity {s.arity}")
@@ -337,16 +329,6 @@ def counit_slot(s: Scalar, slot: int) -> Scalar:
         key = expo[:slot] + expo[slot + 1:]
         out[key] = out.get(key, 0) + c
     return Scalar(s.arity - 1, out, s.den_pow)
-
-
-def scalar_counit(s: Scalar) -> Scalar:
-    """Evaluate at t = 0: a -> 1, d -> 0. Exact on all skein values."""
-    if s.arity != 1:
-        raise ArityError("scalar_counit expects an arity-1 element")
-    out = counit_slot(s, 1)
-    if out.den_pow:
-        raise CounitUndefinedError("counit undefined on this element")
-    return out
 
 
 def specialize(s: Scalar, values: Iterable) -> Scalar:

@@ -22,7 +22,6 @@ generator is the left-over crossing of two upward strands.
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from . import diagrams
@@ -229,12 +228,35 @@ def render_morse(word: Word) -> str:
 EMPTY_TOKEN = "1_∅"
 
 
+def json_list(items, pad: str) -> str:
+    """A JSON list of written items, laid out as `json.dumps(...,
+    indent=2)` lays it out on a line indented by `pad`; a multi-line item
+    must already indent its later lines by `pad` and two spaces."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
+def scalar_json(s: scalars.Scalar, pad: str = "") -> str:
+    """The bytes `json.dumps(scalars.to_json(s), indent=2,
+    sort_keys=True)` writes, with every line after the first indented by
+    `pad`: the one writer of a scalar as JSON, at the top level and
+    nested in a coproduct element."""
+    keys = pad + "  "    # the scalar's keys
+    item = keys + "  "   # its terms
+    term = item + "  "   # each term's keys
+    terms = [f'{{\n{term}"a": {json_list([str(e) for e in expo[1:]], term)},'
+             f'\n{term}"c": "{s.terms[expo]}",\n{term}"q": {expo[0]}\n{item}}}'
+             for expo in sorted(s.terms)]
+    return (f'{{\n{keys}"arity": {s.arity},\n{keys}"den_pow": {s.den_pow},'
+            f'\n{keys}"terms": {json_list(terms, keys)}\n{pad}}}')
+
+
 def render(value, fmt: str = "pretty") -> str:
     """Deterministic rendering of a scalar."""
     if fmt not in ("pretty", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(value, scalars.Scalar):
-        if fmt == "json":
-            return json.dumps(scalars.to_json(value), indent=2, sort_keys=True)
-        return scalars.pretty(value)
+        return scalar_json(value) if fmt == "json" else scalars.pretty(value)
     raise TypeError(f"cannot render {type(value).__name__}")

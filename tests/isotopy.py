@@ -7,18 +7,22 @@ these moves leave their outputs unchanged.
 
 The reference code below (rotation numbers and windings per component,
 writhe, mirror and reversal of words, the bar involution and the JSON
-reader of scalars) states what the tests compare the package against.
+reader of scalars, the scalar counit, the builtin words by name, and the
+randomized no-memo resolver `naive_eval`) states what the tests compare
+the package against.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from typing import Optional
 
-from skeinlab import jaeger
+from skeinlab import corpus, engine, jaeger, scalars, textio
 from skeinlab.diagrams import (BLACKBOARD, CAP, CUP, DOWN, DiagramError, Event,
                                LEFTMOVING, OVER_LEFT, OVER_RIGHT, RIGHTMOVING, UP,
-                               Word, XING, _step, analyze, oriented_sign)
+                               Word, XING, _step, analyze, flip_crossing,
+                               oriented_sign, smooth_crossing)
 from skeinlab.scalars import ArityError, Scalar
 
 
@@ -101,6 +105,89 @@ def from_json(data) -> Scalar:
             raise ArityError("exponent vector length does not match arity")
         terms[key] = int(t["c"])
     return Scalar(arity, terms, int(data["den_pow"]))
+
+
+class CounitUndefinedError(ValueError):
+    """Counit applied to an element with a genuine (q - q^-1) pole."""
+
+
+def scalar_counit(s: Scalar) -> Scalar:
+    """Evaluate at t = 0: a -> 1, d -> 0. Exact on all skein values."""
+    if s.arity != 1:
+        raise ArityError("scalar_counit expects an arity-1 element")
+    out = scalars.counit_slot(s, 1)
+    if out.den_pow:
+        raise CounitUndefinedError("counit undefined on this element")
+    return out
+
+
+def q_power(e: int, arity: int) -> Scalar:
+    return scalars.monomial(arity, 1, q=e)
+
+
+def builtin_word(name: str) -> Word:
+    return textio.parse_morse(corpus.BUILTIN_SOURCES[name])
+
+
+def naive_eval(word: Word, rng: Optional[random.Random] = None) -> Scalar:
+    """Full binary skein tree with randomized choices and no memo table.
+
+    Component order, basepoints and which bad crossing to rewrite are all
+    randomized. The traversal draw is kept fixed along chains of crossing
+    flips (so the bad count decreases) and redrawn after each smoothing.
+    Nothing is reduced, the arithmetic is Scalar arithmetic throughout,
+    and the bad-crossing scan and the value of a descending diagram are
+    this file's own, so the resolver shares only `analyze` and the
+    crossing surgery with it. It keeps the resolver's node budget,
+    `engine.DEFAULT_BUDGET`, and its error.
+    """
+    rng = rng or random.Random(0)
+    state = [engine.DEFAULT_BUDGET, engine.DEFAULT_BUDGET]  # nodes left, limit
+    return _naive(word, rng, None, state)
+
+
+def _naive(word: Word, rng, carried, state) -> Scalar:
+    state[0] -= 1
+    if state[0] < 0:
+        raise engine.BudgetError("skein resolution", state[1], "nodes", word)
+    ana = analyze(word)
+    if carried is None:
+        order = list(range(len(ana.components)))
+        rng.shuffle(order)
+        members = [[] for _ in ana.components]
+        for s, ci in enumerate(ana.slot_component):
+            members[ci].append(s)
+        carried = (order, [rng.choice(m) for m in members])
+    bads = _first_passages_under(ana, *carried)
+    if not bads:
+        # a descending diagram: split unknots framed by their self-writhes
+        sw = sum(c.self_writhe for c in ana.components)
+        return (scalars.a_power(1, sw, 1)
+                * scalars.delta(1, 1) ** len(ana.components))
+    cross = ana.crossings[rng.choice(bads)]
+    flipped = _naive(flip_crossing(word, cross.event_index), rng, carried, state)
+    smoothed = _naive(smooth_crossing(word, cross), rng, None, state)
+    return flipped + cross.sign * (scalars.q_minus_qinv(1) * smoothed)
+
+
+def _first_passages_under(ana, order: list, basepoints: list) -> list:
+    """The crossings first passed along their under-strand, walking the
+    components in `order`, each from its slot in `basepoints`. Strand 0
+    enters at the lower left, which is over for an `o` crossing."""
+    seen = set()
+    under = []
+    for ci in order:
+        start = slot = basepoints[ci]
+        while True:
+            slot, passage = ana.nxt[slot]
+            if passage is not None and passage[0] not in seen:
+                x, strand = passage
+                seen.add(x)
+                if strand != (0 if ana.crossings[x].tag == OVER_LEFT else 1):
+                    under.append(x)
+            if slot == start:
+                break
+    return under
 
 
 # -- moves and validity checks -------------------------------------------

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -415,3 +418,21 @@ def test_one_wrong_value_fails_once_naming_every_label(tmp_path, capsys, monkeyp
     assert all(part.startswith(label + " ") for part, label in zip(parts, labels))
     # one value is wrong, the others agree
     assert len({part[len(label) + 1:] for part, label in zip(parts, labels)}) == 2
+
+
+def test_closed_output_pipe_exits_without_traceback(tmp_path):
+    # an alternating 10-circle unlink: its 330 kB of JSON outgrow the
+    # pipe's buffer, so the write fails once the reader has closed it
+    path = tmp_path / "unlink-alt-10.mw"
+    path.write_text("cup 1 >\ncap 1 <\ncup 1 <\ncap 1 >\n" * 5, encoding="utf-8")
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen([sys.executable, "-m", "skeinlab.cli", "coproduct", str(path),
+                             "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(16).startswith(b"{")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err

@@ -1,11 +1,14 @@
+import json
 import math
 import random
+from collections import Counter
 from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+from skeinlab import cli
 from skeinlab import coproduct as C
 from skeinlab import corpus
 from skeinlab import diagrams as D
@@ -13,7 +16,7 @@ from skeinlab import engine as E
 from skeinlab import jaeger as J
 from skeinlab import scalars as S
 from skeinlab import textio as T
-from skeinlab.diagrams import (ANNULUS, BLACKBOARD, Event, GREEN, PLANE,
+from skeinlab.diagrams import (ANNULUS, BLACKBOARD, DOWN, Event, GREEN, PLANE,
                                RADIAL, UP, Word, CUP, CAP, XING)
 
 import isotopy
@@ -150,7 +153,7 @@ def test_unknot_term_level():
 
 def test_framing_remark_term_level():
     report = C.verify("framing-remark", [])
-    assert report.ok, report.text()
+    assert report.failures == 0, report.text()
     core_r = Word(ANNULUS, RADIAL, ((UP, GREEN),), ())
     got = C.coproduct_diagram(core_r)
     assert all(S.pretty(c) == "1" for c in got.terms.values())
@@ -407,7 +410,7 @@ def test_element_algebra():
 
 def test_element_json_schema():
     unknot = Word(events=(Event(CUP, 1, ">"), Event(CAP, 1, "<")))
-    data = C.coproduct_diagram(unknot).to_json()
+    data = json.loads(C.coproduct_diagram(unknot).json_text())
     assert data["slots"] == 2
     assert len(data["terms"]) == 2
     for term in data["terms"]:
@@ -417,6 +420,99 @@ def test_element_json_schema():
         for text in term["diagrams"]:
             T.parse_morse(text)
     assert data["terms"] == sorted(data["terms"], key=lambda t: t["diagrams"])
+
+
+# -- the JSON writer ----------------------------------------------------------
+
+
+def reference_json(element) -> str:
+    """An element's JSON as `json.dumps` writes its dict: the reference the
+    template writer `CoproductElement.json_text` must match byte for byte."""
+    rows = [{"coeff": S.to_json(coeff), "diagrams": [T.render_morse(w) for w in words]}
+            for words, coeff in element.terms.items()]
+    rows.sort(key=lambda r: r["diagrams"])
+    return json.dumps({"slots": element.slots, "surface": element.surface,
+                       "terms": rows}, indent=2, sort_keys=True)
+
+
+def _writer_elements(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    import inputs
+    words = [w for _, w in corpus.load_builtin()]
+    words += [T.parse_morse(case.files["in.mw"]) for case in inputs.split_coproduct(12)
+              if case.name != f"unlink-{inputs.LONG_UNLINK}-ccw"]
+    for framing in (RADIAL, BLACKBOARD):
+        for second in (UP, DOWN):
+            words.append(Word(ANNULUS, framing, ((UP, GREEN), (second, GREEN)), ()))
+    elements = [C.coproduct_diagram(w) for w in words]
+    elements.append(C.CoproductElement(2, PLANE))
+    elements.append(C.coproduct_iterated(T.desugar_braid(2, [1, -1, 1], False), 3))
+    rich = C.CoproductElement(2, PLANE)
+    unknot = T.parse_morse("cup 1 >\ncap 1 <")
+    rich.add((unknot, unknot), S.Scalar(2, {(3, -1, 12): -123, (0, 2, 0): 45,
+                                            (-11, 0, 0): -1}, 2))
+    assert rich.terms[unknot, unknot].den_pow > 0
+    elements.append(rich)
+    return elements
+
+
+def test_json_writer_matches_json_dumps(monkeypatch):
+    elements = _writer_elements(monkeypatch)
+    assert len(elements) == 13 + 51 + 4 + 3
+    for element in elements:
+        assert element.json_text() == reference_json(element)
+    assert '"terms": []' in C.CoproductElement(2, PLANE).json_text()
+
+
+def test_scalar_json_matches_json_dumps(tmp_path, capsys):
+    # arity 0 with no terms, arity 0 with "a": [], an arity-3 value, and
+    # a negative multi-digit coefficient over a power of (q - q^-1)
+    unlink = tmp_path / "unlink-2.mw"
+    unlink.write_text(corpus.BUILTIN_SOURCES["unlink-2"], encoding="utf-8")
+    trefoil = tmp_path / "trefoil.mw"
+    trefoil.write_text(corpus.BUILTIN_SOURCES["trefoil-right"], encoding="utf-8")
+    runs = {("eval", unlink, "--t", "0"): '"terms": []',
+            ("eval", trefoil, "--t", "2"): '"a": []',
+            ("iterate", trefoil, "--slots", "3"): '"arity": 3'}
+    for (command, path, *rest), shape in runs.items():
+        assert cli.main([command, str(path), *rest, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert shape in out, command
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    rng = random.Random(21)
+    for _ in range(200):
+        arity = rng.randint(0, 3)
+        terms = {tuple(rng.randint(-15, 15) for _ in range(arity + 1)):
+                 rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(0, 5))
+                 for _ in range(rng.randint(0, 4))}
+        value = S.Scalar(arity, terms, rng.randint(0, 3))
+        want = json.dumps(S.to_json(value), indent=2, sort_keys=True)
+        assert T.render(value, "json") == want
+        nested = json.dumps([{"coeff": S.to_json(value)}], indent=2, sort_keys=True)
+        assert nested == f'[\n  {{\n    "coeff": {T.scalar_json(value, "    ")}\n  }}\n]'
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_emission_renders_each_distinct_slot_word_once(monkeypatch, tmp_path, capsys, fmt):
+    path = tmp_path / "unlink-alt-6.mw"
+    path.write_text("cup 1 >\ncap 1 <\ncup 1 <\ncap 1 >\n" * 3, encoding="utf-8")
+    element = C.coproduct_diagram(T.parse_morse(path.read_text(encoding="utf-8")))
+    distinct = {w for words in element.terms for w in words}
+    rendered, keyed = Counter(), Counter()
+
+    def counting(calls, fn):
+        def counted(w):
+            calls[w] += 1
+            return fn(w)
+        return counted
+    monkeypatch.setattr(T, "render_morse", counting(rendered, T.render_morse))
+    monkeypatch.setattr(D, "word_key", counting(keyed, D.word_key))
+    assert cli.main(["coproduct", str(path), "--format", fmt]) == 0
+    assert capsys.readouterr().out
+    assert len(element.terms) * 2 > len(distinct)
+    assert set(rendered) == distinct and set(rendered.values()) == {1}
+    assert set(keyed) == (distinct if fmt == "pretty" else set())
+    assert set(keyed.values()) <= {1}
 
 
 def test_single_colour_required():
@@ -435,7 +531,7 @@ def test_apply_counit_bounds():
 def test_verify_reports():
     words = [("unknot", Word(events=(Event(CUP, 1, ">"), Event(CAP, 1, "<"))))]
     report = C.verify("jaeger", words)
-    assert report.ok and "pass" in report.text()
+    assert report.failures == 0 and "pass" in report.text()
     with pytest.raises(C.CoproductError):
         C.verify("nonsense", words)
 

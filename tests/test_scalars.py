@@ -23,11 +23,11 @@ def test_delta_defining_relation():
 
 def test_delta_specializations():
     d = S.delta(1, 1)
-    assert S.specialize(d, [2]) == S.q_power(1, 0) + S.q_power(-1, 0)
+    assert S.specialize(d, [2]) == isotopy.q_power(1, 0) + isotopy.q_power(-1, 0)
     assert S.specialize(d, [1]) == S.Scalar.one(0)
     assert S.specialize(d, [0]).is_zero()
     assert S.specialize(d * d, [1]) == S.Scalar.one(0)
-    assert S.specialize(S.a_power(1, 1, 1), [3]) == S.q_power(3, 0)
+    assert S.specialize(S.a_power(1, 1, 1), [3]) == isotopy.q_power(3, 0)
 
 
 def test_delta_slot_range():
@@ -77,8 +77,8 @@ def test_coproduct_is_ring_hom_and_coassociative():
 def test_counit_values_and_laws():
     d = S.delta(1, 1)
     a = S.a_power(1, 1, 1)
-    assert S.scalar_counit(a) == S.Scalar.one(0)
-    assert S.scalar_counit(d).is_zero()
+    assert isotopy.scalar_counit(a) == S.Scalar.one(0)
+    assert isotopy.scalar_counit(d).is_zero()
     rng = random.Random(12)
     for _ in range(50):
         x = rand_scalar(rng, 1)
@@ -90,8 +90,8 @@ def test_counit_values_and_laws():
 def test_counit_undefined():
     # q^t / (q - q^-1) has a genuine pole at the counit
     bad = S.Scalar(1, {(0, 1): 1}, 1)
-    with pytest.raises(S.CounitUndefinedError):
-        S.scalar_counit(bad)
+    with pytest.raises(isotopy.CounitUndefinedError):
+        isotopy.scalar_counit(bad)
 
 
 def test_specialize_not_polynomial():
