@@ -158,7 +158,7 @@ def main(argv=None) -> int:
     except (CliError, corpus.CorpusError, textio.DiagnosticError,
             diagrams.DiagramError, engine.EvalError, engine.BudgetError,
             jaeger.StateSumError, coproduct.CoproductError, scalars.ArityError,
-            scalars.SpecializeError) as err:
+            scalars.SpecializeError, scalars.ExponentRangeError) as err:
         print(f"skeinlab: error: {err}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -44,6 +44,7 @@ from .scalars import Scalar
 
 
 DEFAULT_BUDGET = 2_000_000
+ITERATED_BUDGET = 200_000  # 6,360 terms is the most any test or benchmark input builds
 
 
 class CoproductError(ValueError):
@@ -171,11 +172,13 @@ def coproduct_diagram(word: Word) -> CoproductElement:
     winding dressing, matching the framed coproduct.
 
     A leaf of the walk adds its sign to an integer coefficient keyed by
-    its start labels, its two slot-event sequences, its power of
-    (q - q^-1) and its a-exponents; after the walk each key becomes one
-    Word pair, whose events are those sequences, and one Scalar. At most
-    `DEFAULT_BUDGET` walk calls are made per call; the next one raises
-    `engine.BudgetError`.
+    its start labels, its two slot-event sequences and its leaf key: the
+    arity-2 key whose q field counts its cuts, powers of (q - q^-1), and
+    whose a-fields hold its dressing. Each event moves a field by at most
+    1, so a word with more events and strands than `scalars.EXP_MAX` is
+    refused. After the walk each coefficient becomes one Word pair, whose
+    events are those sequences, and one Scalar. At most `DEFAULT_BUDGET`
+    walk calls are made per call; the next one raises `engine.BudgetError`.
     """
     ana = analyze(word)
     if len({c.colour for c in ana.components}) > 1:
@@ -183,7 +186,11 @@ def coproduct_diagram(word: Word) -> CoproductElement:
     nw = diagrams.normalize_crossings(word, ana)
     events = nw.events
     end = len(events)
-    # (start labels, slot-1 events, slot-2 events) -> {(s_pow, e1, e2): sum of signs}
+    if end + len(nw.profile) > scalars.EXP_MAX:
+        raise scalars.ExponentRangeError(
+            f"{end} events and {len(nw.profile)} strands exceed the box walk's "
+            f"exponent bound of {scalars.EXP_MAX}")
+    # (start labels, slot-1 events, slot-2 events) -> {leaf key: sum of signs}
     acc: dict = {}
     limit = DEFAULT_BUDGET
     left = [limit]  # walk calls left
@@ -197,8 +204,11 @@ def coproduct_diagram(word: Word) -> CoproductElement:
     # (ROADMAP item 2) replaces it. Merging states belongs to that
     # frontier: a memo on (event index, labels) here holds every suffix.
     interned: dict = {}
-    dressing = {(kind, tag): (_dressing(1, kind, tag), _dressing(2, kind, tag))
+    one = scalars.pack((0, 0, 0))
+    dressing = {(kind, tag): tuple(scalars.pack((0,) + _dressing(c, kind, tag)) - one
+                                   for c in (1, 2))
                 for kind in (CUP, CAP) for tag in (RIGHTMOVING, LEFTMOVING)}
+    cut = scalars.pack((1, 0, 0)) - one
 
     def event(kind, p, tag):
         ev = interned.get((kind, p, tag))
@@ -206,77 +216,65 @@ def coproduct_diagram(word: Word) -> CoproductElement:
             ev = interned[kind, p, tag] = Event(kind, p, tag)
         return ev
 
-    def walk(i, labels, s1, s2, sign, s_pow, e1, e2):
+    def walk(i, labels, s1, s2, sign, key):
         left[0] -= 1
         if left[0] < 0:
             raise engine.BudgetError("coproduct_diagram", limit, "walk calls", word)
         if i == end:
             if labels == start_labels:
                 coeffs = acc.setdefault((start_labels, s1, s2), {})
-                key = (s_pow, e1, e2)
                 coeffs[key] = coeffs.get(key, 0) + sign
             return
         kind, pos, tag, _ = events[i]
         before = labels[:pos - 1]
         if kind == CUP:
             after = labels[pos - 1:]
-            (d1, d2), (f1, f2) = dressing[CUP, tag]
+            d1, d2 = dressing[CUP, tag]
             walk(i + 1, before + (1, 1) + after,
-                 s1 + (event(CUP, before.count(1) + 1, tag),), s2,
-                 sign, s_pow, e1 + d1, e2 + d2)
+                 s1 + (event(CUP, before.count(1) + 1, tag),), s2, sign, key + d1)
             walk(i + 1, before + (2, 2) + after,
-                 s1, s2 + (event(CUP, before.count(2) + 1, tag),),
-                 sign, s_pow, e1 + f1, e2 + f2)
+                 s1, s2 + (event(CUP, before.count(2) + 1, tag),), sign, key + d2)
         elif kind == CAP:
             c = labels[pos - 1]
             if c != labels[pos]:
                 return
-            d1, d2 = dressing[CAP, tag][c - 1]
             ev = (event(CAP, before.count(c) + 1, tag),)
             rest = before + labels[pos + 1:]
+            key += dressing[CAP, tag][c - 1]
             if c == 1:
-                walk(i + 1, rest, s1 + ev, s2, sign, s_pow, e1 + d1, e2 + d2)
+                walk(i + 1, rest, s1 + ev, s2, sign, key)
             else:
-                walk(i + 1, rest, s1, s2 + ev, sign, s_pow, e1 + d1, e2 + d2)
+                walk(i + 1, rest, s1, s2 + ev, sign, key)
         else:
             cl, cr = labels[pos - 1], labels[pos]
             if cl != cr:
-                walk(i + 1, before + (cr, cl) + labels[pos + 1:],
-                     s1, s2, sign, s_pow, e1, e2)
+                walk(i + 1, before + (cr, cl) + labels[pos + 1:], s1, s2, sign, key)
             elif cl == 1:
                 walk(i + 1, labels, s1 + (event(XING, before.count(1) + 1, tag),), s2,
-                     sign, s_pow, e1, e2)
+                     sign, key)
             else:
                 walk(i + 1, labels, s1, s2 + (event(XING, before.count(2) + 1, tag),),
-                     sign, s_pow, e1, e2)
+                     sign, key)
             if _cut_eligible(cl, cr, tag):
-                xsign = 1 if tag == OVER_LEFT else -1
-                walk(i + 1, labels, s1, s2, sign * xsign, s_pow + 1, e1, e2)
+                walk(i + 1, labels, s1, s2, sign if tag == OVER_LEFT else -sign, key + cut)
 
     winding = nw.surface == ANNULUS and nw.framing == BLACKBOARD
     for start_labels in iproduct((1, 2), repeat=len(nw.profile)):
-        e1 = e2 = 0
+        key = one
         if winding:
-            for (o, _), c in zip(nw.profile, start_labels):
-                d1, d2 = _winding(o, c)
-                e1 += d1
-                e2 += d2
-        walk(0, start_labels, (), (), 1, 0, e1, e2)
+            key += sum(scalars.pack((0,) + _winding(o, c)) - one
+                       for (o, _), c in zip(nw.profile, start_labels))
+        walk(0, start_labels, (), (), 1, key)
 
     out = CoproductElement(2, word.surface)
     while acc:
         (labels, *slots), coeffs = acc.popitem()
-        terms: dict = {}
-        for (s_pow, e1, e2), c in coeffs.items():
-            for (eq, _, _), b in scalars._s_power_terms(s_pow, 2).items():
-                key = (eq, e1, e2)
-                terms[key] = terms.get(key, 0) + c * b
         words = tuple(
             Word(nw.surface, nw.framing,
                  tuple((o, GREEN) for (o, _), lab in zip(nw.profile, labels) if lab == c),
                  seq)
             for c, seq in zip((1, 2), slots))
-        out.add(words, Scalar(2, terms))
+        out.add(words, scalars.from_cut_terms(coeffs, 2))
     return out
 
 
@@ -292,25 +290,37 @@ def apply_counit(element: CoproductElement, slot: int) -> CoproductElement:
     return out
 
 
-def _expand_slot(element: CoproductElement, slot: int) -> CoproductElement:
-    out = CoproductElement(element.slots + 1, element.surface)
-    for words, coeff in element.terms.items():
-        sub = coproduct_diagram(words[slot - 1])
-        lifted = scalars.coproduct_slot(coeff, slot)
-        for (d1, d2), c in sub.terms.items():
-            cc = scalars.rename_slots(c, (slot, slot + 1), element.slots + 1)
-            out.add(words[:slot - 1] + (d1, d2) + words[slot:], lifted * cc)
-    return out
+def _box(word: Word, memo: dict, value: bool = False):
+    """Δ(word), or its value, built once per memo; the tuple keys never
+    meet the engine's byte keys."""
+    key = ("box", word, value)
+    if key not in memo:
+        memo[key] = _box(word, memo).evaluate(memo) if value else coproduct_diagram(word)
+    return memo[key]
 
 
-def coproduct_iterated(word: Word, n: int, side: str = "left") -> CoproductElement:
-    """Iterate the two-colour coproduct to n tensor slots."""
+def coproduct_iterated(word: Word, n: int, side: str = "left",
+                       memo: Optional[dict] = None) -> CoproductElement:
+    """Iterate the two-colour coproduct to n tensor slots, sharing box
+    coproducts through `memo`. An expanded element of more than
+    `ITERATED_BUDGET` terms raises `engine.BudgetError`."""
     if n < 2:
         raise CoproductError("iterated coproduct needs at least two slots")
-    element = coproduct_diagram(word)
+    if memo is None:
+        memo = {}
+    element = _box(word, memo)
     while element.slots < n:
         slot = 1 if side == "left" else element.slots
-        element = _expand_slot(element, slot)
+        out = CoproductElement(element.slots + 1, element.surface)
+        for words, coeff in element.terms.items():
+            lifted = scalars.coproduct_slot(coeff, slot)
+            for (d1, d2), c in _box(words[slot - 1], memo).terms.items():
+                cc = scalars.rename_slots(c, (slot, slot + 1), out.slots)
+                out.add(words[:slot - 1] + (d1, d2) + words[slot:], lifted * cc)
+            if len(out.terms) > ITERATED_BUDGET:
+                raise engine.BudgetError("coproduct_iterated", ITERATED_BUDGET,
+                                         "terms", word)
+        element = out
     return element
 
 
@@ -386,6 +396,9 @@ def verify(identity: str, corpus, memo: Optional[dict] = None) -> Report:
     On the annulus, `mult` stacks the first entry w of each framing and
     compares Δ(w^k) with Δ(w)^k for k = 2, 3 as formal sums; only when
     the two sums differ does it build the separating eval family of each.
+
+    Each Δ(w) and each plane Δ(w)'s value is built once per `memo`, and
+    the suites share them; `mult`'s unions go through the box walk too.
     """
     if identity not in IDENTITIES:
         raise CoproductError(f"unknown identity {identity!r}")
@@ -398,33 +411,32 @@ def verify(identity: str, corpus, memo: Optional[dict] = None) -> Report:
     if identity == "jaeger":
         for name, w in plane_words:
             report.compare(name, ("state sum", jaeger.state_sum(w, 2, memo)),
-                           ("boxes", coproduct_diagram(w).evaluate(memo)),
+                           ("boxes", _box(w, memo, True)),
                            ("ring", scalars.scalar_coproduct(
                                engine.eval_one_colour(w, memo))))
     elif identity == "coassoc":
         for name, w in plane_words:
             report.compare(name, ("3-label", jaeger.state_sum(w, 3, memo)),
-                           ("left", coproduct_iterated(w, 3, "left").evaluate(memo)),
-                           ("right", coproduct_iterated(w, 3, "right").evaluate(memo)))
+                           ("left", coproduct_iterated(w, 3, "left", memo).evaluate(memo)),
+                           ("right", coproduct_iterated(w, 3, "right", memo).evaluate(memo)))
     elif identity == "counit":
         for name, w in plane_words:
             h = engine.eval_one_colour(w, memo)
-            element = coproduct_diagram(w)
+            element = _box(w, memo)
             report.compare(name, ("value", h),
                            ("counit-2", apply_counit(element, 2).evaluate(memo)),
                            ("counit-1", apply_counit(element, 1).evaluate(memo)))
     elif identity == "mult":
-        valued = [(n, w, coproduct_diagram(w).evaluate(memo)) for n, w in plane_words]
+        valued = [(n, w, _box(w, memo, True)) for n, w in plane_words]
         for (n1, w1, v1), (n2, w2, v2) in iproduct(valued, valued):
-            union = coproduct_diagram(diagrams.combine(w1, w2))
-            report.compare(f"{n1}|{n2}", ("union", union.evaluate(memo)),
-                           ("product", v1 * v2))
+            union = _box(diagrams.combine(w1, w2), memo, True)
+            report.compare(f"{n1}|{n2}", ("union", union), ("product", v1 * v2))
         by_framing: dict = {}
         for name, w in annulus_words:
             by_framing.setdefault(w.framing, []).append((name, w))
         for framing, entries in sorted(by_framing.items()):
             base = entries[0][1]
-            split = coproduct_diagram(base)
+            split = _box(base, memo)
             for k in (2, 3):
                 lhs = coproduct_diagram(diagrams.power(base, k))
                 rhs = split
@@ -442,7 +454,7 @@ def verify(identity: str, corpus, memo: Optional[dict] = None) -> Report:
             want = CoproductElement(2, ANNULUS)
             want.add((core, empty), c1)
             want.add((empty, core), c2)
-            got = coproduct_diagram(core)
+            got = _box(core, memo)
             ok = got == want
             report.record(f"core {framing}", ok, "" if ok else got.pretty())
     return report

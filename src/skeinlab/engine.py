@@ -17,11 +17,15 @@ first bad crossing of the closure of s1^n leaves such a pair with its
 neighbour, so T(2,n) resolves through n+2 words instead of O(n^2).
 
 Every relation above is polynomial in q, a = q^t and d, so the resolver's
-values live in Z[q^+-1, a^+-1, d]: a dict {(e_q, e_a, k): c} standing for
-the sum of c * q^e_q * a^e_a * d^k. A step is `flipped + sign * (q - q^-1)
-* smoothed` on those dicts; no division happens until `eval_one_colour`
-converts the root once to the canonical Scalar
+values live in Z[q^+-1, a^+-1, d]: a dict {scalars.pack((e_q, e_a, k)): c}
+standing for the sum of c * q^e_q * a^e_a * d^k. A step is `flipped +
+sign * (q - q^-1) * smoothed` on those dicts; no division happens until
+`eval_one_colour` converts the root once to the canonical Scalar
 (`scalars.from_loop_polynomial`, where d = (a - a^-1) / (q - q^-1)).
+
+The invariant is multiplicative under disjoint union, so `eval_one_colour`
+cuts a reduced root word wherever its profile width returns to 0 and
+multiplies the polynomials of the blocks. Only the root is cut.
 
 Memoization is keyed on the exact serialized bytes of the reduced word;
 each memo value is a pair [polynomial, Scalar or None], the second slot
@@ -30,21 +34,24 @@ caching the conversion for words that were evaluated as roots.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Optional
 
 from . import diagrams
-from .diagrams import (OVER_LEFT, PLANE, XING, Word, analyze, flip_crossing,
+from .diagrams import (CAP, CUP, OVER_LEFT, PLANE, XING, Word, analyze, flip_crossing,
                        smooth_crossing, split_colours, word_key)
 from . import scalars
 from .scalars import Scalar
 
 DEFAULT_BUDGET = 2_000_000
+_Q = scalars.pack((1, 0, 0)) - scalars.pack((0, 0, 0))  # times q, on a polynomial key
 
 
 class BudgetError(RuntimeError):
     """A stage that ran past its work limit. Every budget in the package
     reports through this one type: the skein resolver (nodes),
-    `coproduct.coproduct_diagram` (walk calls) and `jaeger.state_sum`
+    `coproduct.coproduct_diagram` (walk calls),
+    `coproduct.coproduct_iterated` (terms) and `jaeger.state_sum`
     (labellings). The message names the stage, the limit and the
     offending word; `word` keeps the full word and `budget` the limit."""
 
@@ -100,23 +107,40 @@ def eval_one_colour(word: Word, memo: Optional[dict] = None) -> Scalar:
     if memo is None:
         memo = {}
     state = [DEFAULT_BUDGET, DEFAULT_BUDGET]  # nodes left, limit
-    entry = _resolve(reduce_r2(word), memo, state)
+    root = reduce_r2(word)
+    key = word_key(root)
+    entry = memo.get(key)
+    if entry is None:
+        poly, *rest = [_resolve(b, memo, state)[0] for b in _blocks(root)]
+        for part in rest:  # keys of three fields, as at arity 2
+            poly = scalars._mul_terms(poly, part, 2)
+        entry = memo.setdefault(key, [poly, None])
     if entry[1] is None:
         entry[1] = scalars.from_loop_polynomial(entry[0])
     return entry[1]
 
 
+def _blocks(word: Word) -> list:
+    """The closed plane word cut wherever its profile width returns to 0,
+    or [word] if that happens only at its end."""
+    depth = accumulate((e.kind == CUP) - (e.kind == CAP) for e in word.events)
+    cuts = [0] + [i for i, d in enumerate(depth, start=1) if not d]
+    if len(cuts) < 3:
+        return [word]
+    return [word._replace(events=word.events[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
 def _step(flipped: dict, smoothed: dict, sign: int) -> dict:
-    """flipped + sign * (q - q^-1) * smoothed on {(e_q, e_a, k): c} dicts."""
+    """flipped + sign * (q - q^-1) * smoothed on polynomial dicts."""
     out = dict(flipped)
-    for (eq, ea, k), c in smoothed.items():
+    for key, c in smoothed.items():
         c *= sign
-        for key, v in (((eq + 1, ea, k), c), ((eq - 1, ea, k), -c)):
-            v += out.get(key, 0)
+        for k, v in ((key + _Q, c), (key - _Q, -c)):
+            v += out.get(k, 0)
             if v:
-                out[key] = v
+                out[k] = v
             else:
-                del out[key]
+                del out[k]
     return out
 
 
@@ -134,7 +158,7 @@ def _resolve(word: Word, memo: dict, state: list) -> list:
     bad = next(_bad_crossings(ana), None)
     if bad is None:
         sw = sum(c.self_writhe for c in ana.components)
-        poly = {(0, sw, len(ana.components)): 1}
+        poly = {scalars.pack((0, sw, len(ana.components))): 1}
     else:
         cross = ana.crossings[bad]
         flipped = _resolve(reduce_r2(flip_crossing(word, cross.event_index)),
@@ -150,14 +174,15 @@ def eval_terms(terms, n: int, memo: dict) -> Scalar:
 
     This is the one place an evaluated word enters a tensor slot. Each
     product starts from the coefficient and takes one slot at a time, so
-    it is reduced while it is small."""
-    total = Scalar.zero(n)
-    for words, coeff in terms:
-        value = coeff
-        for slot, w in enumerate(words, start=1):
-            value = value * scalars.tensor_embed(eval_one_colour(w, memo), slot, n)
-        total = total + value
-    return total
+    it is reduced while it is small; the products are summed by
+    `scalars.add_all`, which makes the sum canonical once."""
+    def products():
+        for words, coeff in terms:
+            value = coeff
+            for slot, w in enumerate(words, start=1):
+                value = value * scalars.tensor_embed(eval_one_colour(w, memo), slot, n)
+            yield value
+    return scalars.add_all(products(), n)
 
 
 def eval_multi_colour(word: Word, n: int, memo: Optional[dict] = None) -> Scalar:

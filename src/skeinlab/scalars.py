@@ -13,13 +13,23 @@ with a denominator exponent `den_pow`, meaning num / (q - q^-1)^den_pow.
 The canonical form divides out (q - q^-1) exactly as often as possible,
 which makes equality structural.
 
-Exponent keys are tuples (e_q, e_a1, ..., e_an) with integer entries.
+The monomial q^e_q a_1^e_1 ... a_n^e_n is keyed by one int: n + 1 16-bit
+fields, e_q in the most significant and e_n in the least, each holding its
+exponent plus 2^14. Legal exponents lie in [EXP_MIN, EXP_MAX] = [-2^14,
+2^14 - 1], so each field's top (guard) bit is clear and sorted keys follow
+the tuples (e_q, e_1, ..., e_n). A product of monomials is ka + kb minus
+the key of 1. Two legal exponents sum to less than 2^15 in magnitude, so
+a product that leaves the legal range sets that field's guard bit (or a
+bit above the top field, or the sign) and raises ExponentRangeError;
+nothing wraps. `pack` and `unpack` convert keys to and from exponent
+tuples, for printing and for tests.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import or_
 from typing import Iterable, Mapping
 
 
@@ -31,56 +41,81 @@ class SpecializeError(ValueError):
     """Integer specialization did not produce a Laurent polynomial in q."""
 
 
-Expo = tuple  # (e_q, e_a1, ..., e_an)
+class ExponentRangeError(OverflowError):
+    """An exponent outside [EXP_MIN, EXP_MAX], the range of a key field."""
 
 
-def _divide_q_laurent(poly: dict, lo: int, hi: int):
-    """Divide a Laurent polynomial in q (dict exp -> coeff) by q^2 - 1.
-
-    Returns the quotient dict, or None if the division is not exact.
-    Ascending synthetic division; the divisor's lowest term is -1.
-    """
-    acc = dict(poly)
-    quo = {}
-    for m in range(lo, hi - 1):
-        c = acc.get(m, 0)
-        if c:
-            quo[m] = -c
-            acc[m] = 0
-            acc[m + 2] = acc.get(m + 2, 0) + c
-    if any(acc.values()):
-        return None
-    return quo
+_W = 16                     # bits per field
+_B = 1 << (_W - 2)          # the bias of a field
+_F = (1 << _W) - 1          # one field's mask
+EXP_MIN, EXP_MAX = -_B, _B - 1
+_RANGE = f"an exponent left its packed field [{EXP_MIN}, {EXP_MAX}]"
 
 
-def _divide_once(terms: dict):
+def pack(expo: Iterable) -> int:
+    """The key of the exponent vector (e_q, e_1, ..., e_n)."""
+    key = 0
+    for e in expo:
+        if not EXP_MIN <= e <= EXP_MAX:
+            raise ExponentRangeError(_RANGE)
+        key = (key << _W) | (e + _B)
+    return key
+
+
+def unpack(key: int, arity: int) -> tuple:
+    """The exponent vector (e_q, e_1, ..., e_arity) of a key."""
+    return tuple([((key >> (_W * i)) & _F) - _B for i in range(arity, -1, -1)])
+
+
+@lru_cache(maxsize=None)
+def _layout(arity: int) -> tuple:
+    """(key of 1, the bits no legal key sets) at this arity."""
+    ones = ((1 << (_W * (arity + 1))) - 1) // _F  # a 1 in each field
+    return _B * ones, ~((_F >> 1) * ones)
+
+
+def _in_field(terms: dict, arity: int) -> dict:
+    """`terms`, after checking every key's fields are legal."""
+    if terms and reduce(or_, terms) & _layout(arity)[1]:
+        raise ExponentRangeError(_RANGE)
+    return terms
+
+
+def _divide_once(terms: dict, arity: int):
     """Exact division of a term dict by (q - q^-1); None if not divisible.
 
-    Works a-monomial by a-monomial: f / (q - q^-1) = (f * q) / (q^2 - 1),
-    and q^2 - 1 has unit lowest coefficient, so the division is exact
-    integer arithmetic with no heuristics.
+    Terms fall into chains by their a-fields and the parity of e_q, which
+    one mask of the key selects. From f = (q - q^-1) g, the coefficient of
+    q^m in g is the sum of f's coefficients at q^(m+1), q^(m+3), ... in
+    its chain, so f is divisible exactly when every chain sums to zero, and
+    g is then filled in down each chain from its top, gaps included.
     """
-    if not terms:
-        return {}
-    groups: dict = {}
-    for expo, c in terms.items():
-        apart = expo[1:]
-        groups.setdefault(apart, {})[expo[0] + 1] = c  # shift by one: times q
+    q = 1 << (_W * arity)
+    mask = (q << 1) - 1
+    sums: dict = {}
+    for key, c in terms.items():
+        chain = key & mask
+        sums[chain] = sums.get(chain, 0) + c
+    if any(sums.values()):
+        return None
+    chains: dict = {}
+    for key in sorted(terms, reverse=True):
+        chains.setdefault(key & mask, []).append(key)
     out = {}
-    for apart, qpoly in groups.items():
-        lo = min(qpoly)
-        hi = max(qpoly)
-        quo = _divide_q_laurent(qpoly, lo, hi)
-        if quo is None:
-            return None
-        for e, c in quo.items():
-            out[(e,) + apart] = c
+    for keys in chains.values():
+        run = 0
+        for hi, lo in zip(keys, keys[1:]):
+            run += terms[hi]
+            if run:
+                for k in range(hi - q, lo, -2 * q):
+                    out[k] = run
     return out
 
 
 class Scalar:
     """An element num / (q - q^-1)^den_pow of the arity-n ring, canonical.
 
+    `terms` maps keys (see the module docstring) to nonzero integers.
     Instances are immutable and hashable.
     """
 
@@ -90,7 +125,7 @@ class Scalar:
         clean = {k: v for k, v in terms.items() if v} if not _canonical else dict(terms)
         if not _canonical:
             while den_pow > 0 and clean:
-                quo = _divide_once(clean)
+                quo = _divide_once(clean, arity)
                 if quo is None:
                     break
                 clean = quo
@@ -125,15 +160,7 @@ class Scalar:
         if isinstance(other, int):
             other = integer(other, self.arity)
         self._require_same(other)
-        k = max(self.den_pow, other.den_pow)
-        out: dict = {}
-        for src in (self, other):
-            terms = src.terms
-            if src.den_pow < k:
-                terms = _mul_terms(terms, _s_power_terms(k - src.den_pow, self.arity))
-            for e, c in terms.items():
-                out[e] = out.get(e, 0) + c
-        return Scalar(self.arity, out, k)
+        return add_all((self, other), self.arity)
 
     __radd__ = __add__
 
@@ -151,7 +178,7 @@ class Scalar:
             return Scalar(self.arity, {e: c * other for e, c in self.terms.items()},
                           self.den_pow)
         self._require_same(other)
-        return Scalar(self.arity, _mul_terms(self.terms, other.terms),
+        return Scalar(self.arity, _mul_terms(self.terms, other.terms, self.arity),
                       self.den_pow + other.den_pow)
 
     __rmul__ = __mul__
@@ -188,13 +215,34 @@ class Scalar:
         return pretty(self)
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
+def add_all(values: Iterable, arity: int) -> Scalar:
+    """The sum of arity-n Scalars: their numerators lifted to the largest
+    denominator met so far and added, with one canonical form at the end."""
+    num: dict = {}
+    den = 0
+    for v in values:
+        terms = v.terms
+        if v.den_pow > den:
+            num = _mul_terms(num, _s_power_terms(v.den_pow - den, arity), arity)
+            den = v.den_pow
+        elif v.den_pow < den:
+            terms = _mul_terms(terms, _s_power_terms(den - v.den_pow, arity), arity)
+        for e, c in terms.items():
+            num[e] = num.get(e, 0) + c
+    return Scalar(arity, num, den)
+
+
+def _mul_terms(a: dict, b: dict, arity: int) -> dict:
+    """The product of two term dicts of arity-n keys (n + 1 fields)."""
     out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
+    get = out.get
+    one = _layout(arity)[0]
+    shifted = [(kb - one, cb) for kb, cb in b.items()]
+    for ka, ca in a.items():
+        for kb, cb in shifted:
+            key = ka + kb
+            out[key] = get(key, 0) + ca * cb
+    return _in_field(out, arity)
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +250,7 @@ def _s_power_terms(k: int, arity: int) -> dict:
     """Terms of (q - q^-1)^k by the binomial theorem. The dict is shared
     between callers, so it must never be mutated."""
     zero = (0,) * arity
-    return {(k - 2 * j,) + zero: (-1) ** j * comb(k, j) for j in range(k + 1)}
+    return {pack((k - 2 * j,) + zero): (-1) ** j * comb(k, j) for j in range(k + 1)}
 
 
 # -- named elements -----------------------------------------------------
@@ -211,7 +259,7 @@ def _s_power_terms(k: int, arity: int) -> dict:
 def integer(c: int, arity: int) -> Scalar:
     if c == 0:
         return Scalar.zero(arity)
-    return Scalar(arity, {(0,) * (arity + 1): c}, 0, _canonical=True)
+    return Scalar(arity, {_layout(arity)[0]: c}, 0, _canonical=True)
 
 
 def monomial(arity: int, coeff: int = 1, q: int = 0, a=()) -> Scalar:
@@ -219,7 +267,7 @@ def monomial(arity: int, coeff: int = 1, q: int = 0, a=()) -> Scalar:
     exps = tuple(a) + (0,) * (arity - len(a))
     if len(exps) != arity:
         raise ArityError("too many a-exponents for the requested arity")
-    return Scalar(arity, {(q,) + exps: coeff})
+    return Scalar(arity, {pack((q,) + exps): coeff})
 
 
 def a_power(slot: int, e: int, arity: int) -> Scalar:
@@ -237,25 +285,20 @@ def q_minus_qinv(arity: int) -> Scalar:
 
 def delta(slot: int, arity: int) -> Scalar:
     """The loop value d_slot = (a_slot - a_slot^-1) / (q - q^-1)."""
-    if not 1 <= slot <= arity:
-        raise ArityError(f"slot {slot} out of range for arity {arity}")
-    plus = [0] * arity
-    plus[slot - 1] = 1
-    minus = [0] * arity
-    minus[slot - 1] = -1
-    terms = {(0,) + tuple(plus): 1, (0,) + tuple(minus): -1}
-    return Scalar(arity, terms, 1, _canonical=True)
+    num = a_power(slot, 1, arity) - a_power(slot, -1, arity)
+    return Scalar(arity, num.terms, 1, _canonical=True)
 
 
 @lru_cache(maxsize=None)
 def _delta_num_terms(k: int) -> dict:
     """Terms of (a - a^-1)^k at arity 1; shared, so never mutated."""
-    return {(0, k - 2 * j): (-1) ** j * comb(k, j) for j in range(k + 1)}
+    return {pack((0, k - 2 * j)): (-1) ** j * comb(k, j) for j in range(k + 1)}
 
 
 def from_loop_polynomial(poly: Mapping) -> Scalar:
     """The arity-1 element sum of c * q^e_q * a^e_a * d^k over the entries
-    {(e_q, e_a, k): c} of poly, with d = (a - a^-1) / (q - q^-1).
+    of poly, keyed `pack((e_q, e_a, k))`, with d = (a - a^-1) / (q - q^-1).
+    Dropping a key's low field leaves the arity-1 key of q^e_q a^e_a.
 
     Over (q - q^-1)^top, for the top power of d present, the part of
     d-degree k contributes (a - a^-1)^k * (q - q^-1)^(top - k); the
@@ -264,16 +307,30 @@ def from_loop_polynomial(poly: Mapping) -> Scalar:
     if not poly:
         return Scalar.zero(1)
     parts: dict = {}
-    for (eq, ea, k), c in poly.items():
-        parts.setdefault(k, {})[(eq, ea)] = c
+    for key, c in _in_field(poly, 2).items():
+        parts.setdefault((key & _F) - _B, {})[key >> _W] = c
     top = max(parts)
     num: dict = {}
     for k, part in parts.items():
-        lifted = _mul_terms(_mul_terms(part, _delta_num_terms(k)),
-                            _s_power_terms(top - k, 1))
+        lifted = _mul_terms(_mul_terms(part, _delta_num_terms(k), 1),
+                            _s_power_terms(top - k, 1), 1)
         for e, c in lifted.items():
             num[e] = num.get(e, 0) + c
     return Scalar(1, num, top)
+
+
+def from_cut_terms(terms: Mapping, arity: int) -> Scalar:
+    """The arity-n element sum of c * (q - q^-1)^s * a-monomial over the
+    entries of terms, each keyed as an arity-n key whose q field holds s."""
+    top = _W * arity
+    amask = (1 << top) - 1
+    out: dict = {}
+    for key, c in terms.items():
+        apart = key & amask
+        for sq, b in _s_power_terms((key >> top) - _B, arity).items():
+            k = (sq & ~amask) | apart
+            out[k] = out.get(k, 0) + c * b
+    return Scalar(arity, out)
 
 
 # -- structure maps ------------------------------------------------------
@@ -285,11 +342,9 @@ def tensor_embed(s: Scalar, slot: int, arity: int) -> Scalar:
         raise ArityError("tensor_embed expects an arity-1 element")
     if not 1 <= slot <= arity:
         raise ArityError(f"slot {slot} out of range for arity {arity}")
-    out = {}
-    for (eq, ea), c in s.terms.items():
-        exps = [0] * arity
-        exps[slot - 1] = ea
-        out[(eq,) + tuple(exps)] = c
+    top, sh = _W * arity, _W * (arity - slot)
+    rest = _layout(arity)[0] - (_B << top) - (_B << sh)  # the other a-fields at 0
+    out = {((k >> _W) << top) + ((k & _F) << sh) + rest: c for k, c in s.terms.items()}
     return Scalar(arity, out, s.den_pow, _canonical=True)
 
 
@@ -298,15 +353,16 @@ def coproduct_slot(s: Scalar, slot: int) -> Scalar:
 
     This is the C(q)-algebra map determined by D(q^t) = q^{t_1} q^{t_2} and
     D(d) = d_1 q^{t_2} + q^{-t_1} d_2 on the affected slot; on our
-    representation it simply duplicates the slot exponent.
+    representation it simply duplicates the slot's field.
     """
     if not 1 <= slot <= s.arity:
         raise ArityError(f"slot {slot} out of range for arity {s.arity}")
+    sh = _W * (s.arity - slot)
+    low = (1 << sh) - 1
     out = {}
-    for expo, c in s.terms.items():
-        rest = list(expo[1:])
-        rest.insert(slot, rest[slot - 1])
-        out[(expo[0],) + tuple(rest)] = c
+    for k, c in s.terms.items():
+        high = k >> sh  # the fields q, a_1, ..., a_slot
+        out[(((high << _W) | (high & _F)) << sh) | (k & low)] = c
     return Scalar(s.arity + 1, out, s.den_pow, _canonical=True)
 
 
@@ -324,9 +380,11 @@ def counit_slot(s: Scalar, slot: int) -> Scalar:
     """
     if not 1 <= slot <= s.arity:
         raise ArityError(f"slot {slot} out of range for arity {s.arity}")
+    sh = _W * (s.arity - slot)
+    low = (1 << sh) - 1
     out: dict = {}
-    for expo, c in s.terms.items():
-        key = expo[:slot] + expo[slot + 1:]
+    for k, c in s.terms.items():
+        key = ((k >> (sh + _W)) << sh) | (k & low)
         out[key] = out.get(key, 0) + c
     return Scalar(s.arity - 1, out, s.den_pow)
 
@@ -337,8 +395,9 @@ def specialize(s: Scalar, values: Iterable) -> Scalar:
     if len(ns) != s.arity:
         raise ArityError(f"expected {s.arity} integer{'s' * (s.arity != 1)}, got {len(ns)}")
     out: dict = {}
-    for expo, c in s.terms.items():
-        key = (expo[0] + sum(n * ea for n, ea in zip(ns, expo[1:])),)
+    for k, c in s.terms.items():
+        expo = unpack(k, s.arity)
+        key = pack((expo[0] + sum(n * ea for n, ea in zip(ns, expo[1:])),))
         out[key] = out.get(key, 0) + c
     value = Scalar(0, out, s.den_pow)
     if value.den_pow:
@@ -352,11 +411,12 @@ def rename_slots(s: Scalar, target: Iterable, arity: int) -> Scalar:
     if len(tgt) != s.arity:
         raise ArityError("one target slot per source slot required")
     out: dict = {}
-    for expo, c in s.terms.items():
-        exps = [0] * arity
-        for i, e in enumerate(expo[1:]):
-            exps[tgt[i] - 1] += e
-        key = (expo[0],) + tuple(exps)
+    for k, c in s.terms.items():
+        expo = unpack(k, s.arity)
+        exps = [expo[0]] + [0] * arity
+        for t, e in zip(tgt, expo[1:]):
+            exps[t] += e
+        key = pack(exps)
         out[key] = out.get(key, 0) + c
     return Scalar(arity, out, s.den_pow)
 
@@ -364,7 +424,7 @@ def rename_slots(s: Scalar, target: Iterable, arity: int) -> Scalar:
 # -- rendering -----------------------------------------------------------
 
 
-def _mono_str(expo: Expo, coeff: int, arity: int) -> str:
+def _mono_str(expo: tuple, coeff: int, arity: int) -> str:
     bits = []
     if expo[0]:
         bits.append("q" if expo[0] == 1 else f"q^{expo[0]}")
@@ -387,9 +447,9 @@ def pretty(s: Scalar) -> str:
     if not s.terms:
         return "0"
     parts = []
-    for expo in sorted(s.terms):
-        c = s.terms[expo]
-        text = _mono_str(expo, c, s.arity)
+    for key in sorted(s.terms):
+        c = s.terms[key]
+        text = _mono_str(unpack(key, s.arity), c, s.arity)
         if not parts:
             parts.append(text if c > 0 else "-" + text)
         else:
@@ -406,7 +466,7 @@ def to_json(s: Scalar) -> dict:
         "arity": s.arity,
         "den_pow": s.den_pow,
         "terms": [
-            {"c": str(s.terms[e]), "q": e[0], "a": list(e[1:])}
-            for e in sorted(s.terms)
+            {"c": str(s.terms[k]), "q": e[0], "a": list(e[1:])}
+            for k in sorted(s.terms) for e in (unpack(k, s.arity),)
         ],
     }

@@ -247,8 +247,8 @@ def scalar_json(s: scalars.Scalar, pad: str = "") -> str:
     item = keys + "  "   # its terms
     term = item + "  "   # each term's keys
     terms = [f'{{\n{term}"a": {json_list([str(e) for e in expo[1:]], term)},'
-             f'\n{term}"c": "{s.terms[expo]}",\n{term}"q": {expo[0]}\n{item}}}'
-             for expo in sorted(s.terms)]
+             f'\n{term}"c": "{s.terms[key]}",\n{term}"q": {expo[0]}\n{item}}}'
+             for key in sorted(s.terms) for expo in (scalars.unpack(key, s.arity),)]
     return (f'{{\n{keys}"arity": {s.arity},\n{keys}"den_pow": {s.den_pow},'
             f'\n{keys}"terms": {json_list(terms, keys)}\n{pad}}}')
 

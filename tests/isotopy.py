@@ -7,15 +7,16 @@ these moves leave their outputs unchanged.
 
 The reference code below (rotation numbers and windings per component,
 writhe, mirror and reversal of words, the bar involution and the JSON
-reader of scalars, the scalar counit, the builtin words by name, and the
-randomized no-memo resolver `naive_eval`) states what the tests compare
-the package against.
+reader of scalars, the scalar counit, the builtin words by name, the
+randomized no-memo resolver `naive_eval`, and a ring on exponent tuples
+that packs nothing) states what the tests compare the package against.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from math import comb
 from typing import Optional
 
 from skeinlab import corpus, engine, jaeger, scalars, textio
@@ -86,7 +87,8 @@ def reverse(word: Word) -> Word:
 
 def bar(s: Scalar) -> Scalar:
     """The mirror involution q -> q^-1, a_i -> a_i^-1."""
-    out = {tuple(-e for e in expo): c for expo, c in s.terms.items()}
+    out = {scalars.pack(-e for e in scalars.unpack(key, s.arity)): c
+           for key, c in s.terms.items()}
     sign = -1 if s.den_pow % 2 else 1
     if sign < 0:
         out = {e: -c for e, c in out.items()}
@@ -103,7 +105,7 @@ def from_json(data) -> Scalar:
         key = (int(t["q"]),) + tuple(int(x) for x in t["a"])
         if len(key) != arity + 1:
             raise ArityError("exponent vector length does not match arity")
-        terms[key] = int(t["c"])
+        terms[scalars.pack(key)] = int(t["c"])
     return Scalar(arity, terms, int(data["den_pow"]))
 
 
@@ -340,3 +342,70 @@ def add_kink(word: Word, at: int, pos: int, rot: int, sign: int) -> Optional[Wor
     except DiagramError:
         return None
     return out
+
+
+# -- the ring on exponent tuples ----------------------------------------------
+#
+# A term dict keyed by exponent tuples (e_q, e_1, ..., e_n), with the
+# canonical form found by ascending synthetic division by q^2 - 1 in each
+# a-monomial: the form `scalars.Scalar` had before its keys were packed.
+
+
+def ref_terms(s: Scalar) -> dict:
+    """The terms of s keyed by exponent tuples."""
+    return {scalars.unpack(key, s.arity): c for key, c in s.terms.items()}
+
+
+def ref_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def ref_s_power(k: int, arity: int) -> dict:
+    """The terms of (q - q^-1)^k."""
+    return {(k - 2 * j,) + (0,) * arity: (-1) ** j * comb(k, j) for j in range(k + 1)}
+
+
+def _ref_divide_once(terms: dict):
+    groups: dict = {}
+    for expo, c in terms.items():
+        groups.setdefault(expo[1:], {})[expo[0] + 1] = c  # times q
+    out = {}
+    for apart, acc in groups.items():
+        for m in range(min(acc), max(acc) - 1):
+            c = acc.get(m, 0)
+            if c:
+                out[(m,) + apart] = -c
+                acc[m] = 0
+                acc[m + 2] = acc.get(m + 2, 0) + c
+        if any(acc.values()):
+            return None
+    return out
+
+
+def ref_canonical(terms: dict, den_pow: int) -> tuple:
+    """(terms, den_pow) of num / (q - q^-1)^den_pow in canonical form."""
+    terms = {e: c for e, c in terms.items() if c}
+    while den_pow and terms:
+        quo = _ref_divide_once(terms)
+        if quo is None:
+            break
+        terms, den_pow = quo, den_pow - 1
+    return terms, den_pow if terms else 0
+
+
+def ref_mul(x: tuple, y: tuple) -> tuple:
+    return ref_canonical(ref_product(x[0], y[0]), x[1] + y[1])
+
+
+def ref_add(x: tuple, y: tuple, arity: int) -> tuple:
+    k = max(x[1], y[1])
+    out: dict = {}
+    for terms, den_pow in (x, y):
+        for e, c in ref_product(terms, ref_s_power(k - den_pow, arity)).items():
+            out[e] = out.get(e, 0) + c
+    return ref_canonical(out, k)

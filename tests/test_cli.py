@@ -239,6 +239,17 @@ def test_coproduct_budget_on_six_circle_unlink(tmp_path, capsys, monkeypatch):
     assert "12 events" in err
 
 
+def test_iterate_budget_on_terms(trefoil_file, capsys, monkeypatch):
+    # the trefoil's 3-slot coproduct has 6 terms
+    monkeypatch.setattr(coproduct, "ITERATED_BUDGET", 4)
+    err = _one_line_error(capsys, ["iterate", trefoil_file, "--slots", "3"])
+    assert err == ("skeinlab: error: coproduct_iterated exceeded its budget of 4 terms; "
+                   "offending word: plane word of 7 events, plane|blackboard||"
+                   "cup.1.>.1|cup.2.>.1|x.3.o.1|x.3.o.1|x.3.o.…\n")
+    monkeypatch.setattr(coproduct, "ITERATED_BUDGET", 6)
+    assert cli.main(["iterate", trefoil_file, "--slots", "3"]) == 0
+
+
 BUDGETS = {
     # stage: (module with DEFAULT_BUDGET, small limit, unit, command,
     #         document, library call)

@@ -449,8 +449,8 @@ def _writer_elements(monkeypatch):
     elements.append(C.coproduct_iterated(T.desugar_braid(2, [1, -1, 1], False), 3))
     rich = C.CoproductElement(2, PLANE)
     unknot = T.parse_morse("cup 1 >\ncap 1 <")
-    rich.add((unknot, unknot), S.Scalar(2, {(3, -1, 12): -123, (0, 2, 0): 45,
-                                            (-11, 0, 0): -1}, 2))
+    rich.add((unknot, unknot), S.Scalar(2, {S.pack((3, -1, 12)): -123, S.pack((0, 2, 0)): 45,
+                                            S.pack((-11, 0, 0)): -1}, 2))
     assert rich.terms[unknot, unknot].den_pow > 0
     elements.append(rich)
     return elements
@@ -482,7 +482,7 @@ def test_scalar_json_matches_json_dumps(tmp_path, capsys):
     rng = random.Random(21)
     for _ in range(200):
         arity = rng.randint(0, 3)
-        terms = {tuple(rng.randint(-15, 15) for _ in range(arity + 1)):
+        terms = {S.pack(rng.randint(-15, 15) for _ in range(arity + 1)):
                  rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(0, 5))
                  for _ in range(rng.randint(0, 4))}
         value = S.Scalar(arity, terms, rng.randint(0, 3))
@@ -534,6 +534,42 @@ def test_verify_reports():
     assert report.failures == 0 and "pass" in report.text()
     with pytest.raises(C.CoproductError):
         C.verify("nonsense", words)
+
+
+def test_verify_all_builds_each_box_coproduct_once(monkeypatch, capsys):
+    # one memo serves every suite of `verify all`: each plane word's box
+    # coproduct is built once, and the lines are those of each suite run
+    # alone on a fresh memo
+    entries = corpus.load_builtin()
+    assert cli.main(["verify", "all"]) == 0
+    shared = capsys.readouterr().out.splitlines()
+    alone = []
+    for identity in C.IDENTITIES:
+        assert cli.main(["verify", identity]) == 0
+        alone += capsys.readouterr().out.splitlines()[:-1]
+    assert shared[:-1] == alone and len(alone) == int(shared[-1].split()[1])
+    built = Counter()
+    diagram = C.coproduct_diagram
+
+    def counted(word):
+        built[word] += 1
+        return diagram(word)
+    monkeypatch.setattr(C, "coproduct_diagram", counted)
+    memo = {}
+    for identity in C.IDENTITIES:
+        C.verify(identity, entries, memo)
+    plane = [w for _, w in entries if w.surface == PLANE]
+    assert [built[w] for w in plane] == [1] * len(plane)
+    assert set(built.values()) == {1}
+
+
+def test_box_walk_refuses_words_past_its_exponent_bound():
+    # each event moves one exponent of a leaf by at most 1, so the walk
+    # refuses a word with more events and strands than EXP_MAX up front
+    circles = (Event(CUP, 1, ">"), Event(CAP, 1, "<"))
+    w = Word(events=circles * (S.EXP_MAX // 2 + 1))
+    with pytest.raises(S.ExponentRangeError, match=f"{S.EXP_MAX + 1} events and 0 strands"):
+        C.coproduct_diagram(w)
 
 
 def _seeded_annulus_words(seed, count):

@@ -284,11 +284,11 @@ def test_root_conversion_of_loop_monomials():
     for k in range(9):
         for j in (-2, 0, 3):
             want = S.monomial(1, 1, a=[j]) * S.delta(1, 1) ** k
-            assert S.from_loop_polynomial({(0, j, k): 1}) == want
+            assert S.from_loop_polynomial({S.pack((0, j, k)): 1}) == want
     assert S.from_loop_polynomial({}) == S.Scalar.zero(1)
     # (q - q^-1) * d - (a - a^-1) cancels across d-degrees
-    assert S.from_loop_polynomial({(1, 0, 1): 1, (-1, 0, 1): -1,
-                                   (0, 1, 0): -1, (0, -1, 0): 1}).is_zero()
+    assert S.from_loop_polynomial({S.pack((1, 0, 1)): 1, S.pack((-1, 0, 1)): -1,
+                                   S.pack((0, 1, 0)): -1, S.pack((0, -1, 0)): 1}).is_zero()
 
 
 def test_root_value_is_cached_in_the_memo():
@@ -316,3 +316,40 @@ def test_resolver_does_no_per_node_scalar_work(monkeypatch):
         E.eval_one_colour(T.desugar_braid(2, [1] * n, True), {})
         counts[n] = len(calls)
     assert counts[36] == counts[72] <= 2
+
+
+def test_split_roots_match_the_oracle_and_the_parts(monkeypatch):
+    # the resolver cuts a split root into blocks and never resolves it
+    # whole; the oracle resolves the whole union
+    resolved = []
+    resolve = E._resolve
+
+    def recorded(word, memo, state):
+        resolved.append(D.word_key(word))
+        return resolve(word, memo, state)
+    monkeypatch.setattr(E, "_resolve", recorded)
+    rng = random.Random(46)
+    for _ in range(30):
+        w1 = random_word(rng, max_events=10, max_crossings=4)
+        w2 = random_word(rng, max_events=10, max_crossings=4)
+        union = D.combine(w1, w2)
+        resolved.clear()
+        value = E.eval_one_colour(union)
+        assert D.word_key(E.reduce_r2(union)) not in resolved
+        assert value == isotopy.naive_eval(union, rng)
+        assert value == E.eval_one_colour(w1) * E.eval_one_colour(w2)
+
+
+def test_split_root_blocks_share_one_node_budget(monkeypatch):
+    union = D.combine(T.desugar_braid(2, [1] * 5, True),
+                      T.desugar_braid(3, [1, -2, 1, -2], True))
+    memo = {}
+    value = E.eval_one_colour(union, memo)
+    nodes = len(memo) - 1  # every entry but the union's own is a resolved node
+    monkeypatch.setattr(E, "DEFAULT_BUDGET", nodes)
+    assert E.eval_one_colour(union) == value
+    monkeypatch.setattr(E, "DEFAULT_BUDGET", nodes - 1)
+    with pytest.raises(E.BudgetError) as err:
+        E.eval_one_colour(union)
+    assert str(err.value).startswith(
+        f"skein resolution exceeded its budget of {nodes - 1} nodes; offending word: ")

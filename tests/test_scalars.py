@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from skeinlab import cli
 from skeinlab import scalars as S
 
 import isotopy
@@ -10,7 +12,7 @@ import isotopy
 def rand_scalar(rng, arity, nterms=5, den=2):
     terms = {}
     for _ in range(rng.randint(1, nterms)):
-        key = tuple(rng.randint(-3, 3) for _ in range(arity + 1))
+        key = S.pack(rng.randint(-3, 3) for _ in range(arity + 1))
         terms[key] = terms.get(key, 0) + rng.randint(-4, 4)
     return S.Scalar(arity, terms, rng.randint(0, den))
 
@@ -89,13 +91,13 @@ def test_counit_values_and_laws():
 
 def test_counit_undefined():
     # q^t / (q - q^-1) has a genuine pole at the counit
-    bad = S.Scalar(1, {(0, 1): 1}, 1)
+    bad = S.Scalar(1, {S.pack((0, 1)): 1}, 1)
     with pytest.raises(isotopy.CounitUndefinedError):
         isotopy.scalar_counit(bad)
 
 
 def test_specialize_not_polynomial():
-    bad = S.Scalar(1, {(0, 1): 1}, 1)
+    bad = S.Scalar(1, {S.pack((0, 1)): 1}, 1)
     with pytest.raises(S.SpecializeError):
         S.specialize(bad, [2])
     with pytest.raises(S.ArityError):
@@ -180,3 +182,58 @@ def test_rename_slots_collision_reduces():
     x = S.a_power(1, 1, 2) * S.a_power(2, -1, 2)
     collapsed = S.rename_slots(x, (1, 1), 1)
     assert collapsed == S.Scalar.one(1)
+
+
+def test_packed_fields_hold_their_extreme_exponents():
+    top, bottom = S.EXP_MAX, S.EXP_MIN
+    for arity in range(4):
+        for expo in itertools.product((top, bottom, 0), repeat=arity + 1):
+            assert S.unpack(S.pack(expo), arity) == expo
+    x = S.monomial(1, 3, q=top, a=[bottom])
+    y = S.monomial(1, 1, q=bottom, a=[top])
+    assert x * S.Scalar.one(1) == x
+    assert isotopy.ref_terms(x * y) == {(-1, -1): 3}
+    assert isotopy.ref_terms(x + x) == {(top, bottom): 6}
+    assert isotopy.ref_terms(x + y) == {(bottom, top): 1, (top, bottom): 3}
+    assert S.tensor_embed(x, 2, 3) == S.monomial(3, 3, q=top, a=[0, bottom, 0])
+    assert S.coproduct_slot(x, 1) == S.monomial(2, 3, q=top, a=[bottom, bottom])
+    assert S.coproduct_slot(S.tensor_embed(x, 2, 2), 2) == \
+        S.monomial(3, 3, q=top, a=[0, bottom, bottom])
+    assert S.to_json(x)["terms"] == [{"c": "3", "q": top, "a": [bottom]}]
+
+
+def test_exponents_past_their_field_raise():
+    top, bottom = S.EXP_MAX, S.EXP_MIN
+    for bad in (top + 1, bottom - 1):
+        with pytest.raises(S.ExponentRangeError, match=r"packed field \[-16384, 16383\]"):
+            S.pack((0, bad, 0))
+        with pytest.raises(S.ExponentRangeError):
+            S.monomial(2, 1, q=bad)
+    # every field, both directions, at arities 0 to 3: a product one past
+    # the range raises instead of carrying into its neighbour
+    for arity in range(4):
+        for i in range(arity + 1):
+            for edge, step in ((top, 1), (bottom, -1)):
+                expo = [0] * (arity + 1)
+                expo[i] = edge
+                unit = [0] * (arity + 1)
+                unit[i] = step
+                x = S.Scalar(arity, {S.pack(expo): 1})
+                assert isotopy.ref_terms(x * S.Scalar.one(arity)) == {tuple(expo): 1}
+                with pytest.raises(S.ExponentRangeError):
+                    x * S.Scalar(arity, {S.pack(unit): 1})
+    # lifting a summand to a common denominator multiplies too
+    with pytest.raises(S.ExponentRangeError):
+        S.monomial(1, 1, q=top) + S.delta(1, 1)
+    with pytest.raises(S.ExponentRangeError):
+        S.specialize(S.a_power(1, 2, 1), [top])
+
+
+def test_field_overflow_is_one_cli_error(tmp_path, capsys):
+    path = tmp_path / "trefoil.mw"
+    path.write_text("braid 2: 1 1 1 ; close\n", encoding="utf-8")
+    assert cli.main(["eval", str(path), "--t", "20000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("skeinlab: error: an exponent left its packed field "
+                            "[-16384, 16383]\n")
