@@ -172,15 +172,22 @@ def eval_terms(terms, n: int, memo: dict) -> Scalar:
     """Sum of coeff * (value of w_1 in slot 1) * ... * (value of w_n in
     slot n) over (words, coeff) pairs of closed one-colour plane words.
 
-    This is the one place an evaluated word enters a tensor slot. Each
-    product starts from the coefficient and takes one slot at a time, so
-    it is reduced while it is small; the products are summed by
+    This is the one place an evaluated word enters a tensor slot, and
+    each distinct (word, slot) pair enters once per call. Each product
+    starts from the coefficient and takes one slot at a time, so it is
+    reduced while it is small; the products are summed by
     `scalars.add_all`, which makes the sum canonical once."""
+    embedded = {}
+
     def products():
         for words, coeff in terms:
             value = coeff
             for slot, w in enumerate(words, start=1):
-                value = value * scalars.tensor_embed(eval_one_colour(w, memo), slot, n)
+                factor = embedded.get((w, slot))
+                if factor is None:
+                    factor = scalars.tensor_embed(eval_one_colour(w, memo), slot, n)
+                    embedded[w, slot] = factor
+                value = value * factor
             yield value
     return scalars.add_all(products(), n)
 

@@ -9,9 +9,11 @@ call. A labelling with values in 1..n is admissible when every crossing
 either preserves labels along both strands or is a cutting vertex: the
 0-smoothing joins the over-in edge to the under-out edge and the under-in
 edge to the over-out edge, and at a cutting vertex the under-in/over-out
-pair carries the strictly larger label. A cutting vertex contributes sgn(v)(q - q^-1) to
-the interaction and is replaced by the smoothing before the word is split
-into its label subdiagrams.
+pair carries the strictly larger label. The enumeration checks each
+crossing once, by `_admissible`, when its last edge is labelled. A
+cutting vertex contributes sgn(v)(q - q^-1) to the interaction and is
+replaced by the smoothing before the word is split into its label
+subdiagrams.
 
 The rotation correction multiplies, for each label c with subdiagram
 rotation r_c, the monomial made of a_j^{+r_c} for j > c and a_j^{-r_c}
@@ -81,65 +83,43 @@ def crossing_edges(ana, edge: list) -> list:
     return roles
 
 
-def _pattern_possible(vals, n: int) -> bool:
-    """Can the partial assignment (over-in, under-in, over-out, under-out)
-    still become admissible?"""
-    va, vb, vc, vd = vals
-
-    def agree(x, y):
-        return x is None or y is None or x == y
-
-    if agree(va, vc) and agree(vb, vd):
-        return True
-    if agree(va, vd) and agree(vb, vc):
-        hi = vb if vb is not None else vc
-        lo = va if va is not None else vd
-        if hi is None:
-            return lo is None or lo < n
-        if lo is None:
-            return hi > 1
-        return hi > lo
-    return False
-
-
-def enumerate_admissible(edges: list, roles: list, n: int) -> Iterator[dict]:
-    """Depth-first enumeration with per-crossing pruning over the edge
-    ids `edges`, ascending, and the crossing roles `roles`
-    (`crossing_edges`).
-
-    Yields maps from edge id to label, in sorted edge order.
-    """
-    incident: dict = {e: [] for e in edges}
-    for r in roles:
-        for e in set(r):
-            incident[e].append(r)
-    assignment: dict = {}
-
-    def ok_around(edge) -> bool:
-        for r in incident[edge]:
-            vals = tuple(assignment.get(e) for e in r)
-            if not _pattern_possible(vals, n):
-                return False
-        return True
-
-    def dfs(k: int):
-        if k == len(edges):
-            yield dict(assignment)
-            return
-        e = edges[k]
-        for lab in range(1, n + 1):
-            assignment[e] = lab
-            if ok_around(e):
-                yield from dfs(k + 1)
-            del assignment[e]
-
-    yield from dfs(0)
-
-
 def _is_cut(va, vb, vc, vd) -> bool:
     """A cutting vertex: labels follow the 0-smoothing and the under-in
     edge carries the strictly larger one."""
     return va == vd and vb == vc and vb > va
+
+
+def _admissible(va, vb, vc, vd) -> bool:
+    """The rule: both strands keep their labels, or the crossing cuts."""
+    return (va == vc and vb == vd) or _is_cut(va, vb, vc, vd)
+
+
+def enumerate_admissible(edges: list, roles: list, n: int) -> Iterator[dict]:
+    """The admissible labellings, in 1..n, of the edge ids `edges`,
+    ascending, given the crossing roles `roles` (`crossing_edges`).
+
+    A depth-first search labels the edges in order and checks each
+    crossing once, by `_admissible`, when its last edge is labelled. It
+    yields maps from edge id to label in lexicographic order over
+    ascending edge ids, the order of the `--trace` lines."""
+    index = {e: k for k, e in enumerate(edges)}
+    closing = [[] for _ in edges]  # [k]: crossings whose last edge is edges[k]
+    for r in roles:
+        r = tuple(index[e] for e in r)
+        closing[max(r)].append(r)
+    labels = [0] * len(edges)
+
+    def dfs(k: int):
+        if k == len(edges):
+            yield dict(zip(edges, labels))
+            return
+        for lab in range(1, n + 1):
+            labels[k] = lab
+            if all(_admissible(labels[a], labels[b], labels[c], labels[d])
+                   for a, b, c, d in closing[k]):
+                yield from dfs(k + 1)
+
+    yield from dfs(0)
 
 
 def cutting_vertices(roles: list, labelling: dict) -> list:

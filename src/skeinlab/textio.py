@@ -104,9 +104,9 @@ def parse_morse(text: str, framing: Optional[str] = None) -> Word:
         if not toks:
             continue
         head = toks[0].lower()
+        if head in ("surface", "framing", "profile") and (seen_event or seen_braid):
+            raise SemanticError(f"{head} header after body", lineno)
         if head == "surface":
-            if seen_event or seen_braid:
-                raise SemanticError("surface header after body", lineno)
             if len(toks) != 2 or toks[1] not in (PLANE, ANNULUS):
                 raise GrammarError("bad surface header", lineno,
                                    expected=(PLANE, ANNULUS))
@@ -117,8 +117,6 @@ def parse_morse(text: str, framing: Optional[str] = None) -> Word:
                                    expected=(BLACKBOARD, RADIAL))
             declared = toks[1]
         elif head == "profile":
-            if seen_event or seen_braid:
-                raise SemanticError("profile header after body", lineno)
             profile = []
             for t in toks[1:]:
                 if len(t) != 2 or t[0] not in (UP, DOWN) or t[1] not in COLOUR_LETTERS:

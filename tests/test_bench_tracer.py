@@ -1,7 +1,7 @@
 """The benchmark's tracer (bench/spans.py) wraps names of the package from
 outside. A rename in the package would break a `--trace 1` run without
 failing any other test, so this one installs the tracer on the modules
-that bench/run.py traces and runs three commands under it."""
+that bench/run.py traces and runs four commands under it."""
 
 import importlib
 from pathlib import Path
@@ -31,10 +31,12 @@ def test_tracer_still_fits_the_package(tmp_path, monkeypatch, capsys):
         assert 0 < evaluated["engine.nodes"] < evaluated["engine.visits"]
         assert cli.main(["coproduct", str(trefoil), "--format", "json"]) == 0
         assert cli.main(["verify", "framing-remark", "--corpus", str(tmp_path)]) == 0
+        assert cli.main(["verify", "jaeger", "--corpus", str(tmp_path)]) == 0
     finally:
         tracer.uninstall()
     assert sk["engine"]._resolve is resolve
     counts = tracer.snapshot()["counts"]
-    for key in ("engine.nodes", "coproduct.terms_out", "diagrams.analyze"):
+    for key in ("engine.nodes", "coproduct.terms_out", "diagrams.analyze",
+                "jaeger.labellings"):
         assert counts[key] > 0, key
     assert "0 failures" in capsys.readouterr().out

@@ -206,6 +206,22 @@ def test_jaeger_budget_on_deep_unlink(capsys):
     assert len(err.encode()) < 300 and "1200 events" in err
 
 
+def test_jaeger_on_deep_word_is_one_line_error(tmp_path, capsys):
+    # the closure of s1^600: 604 events and 2 components, so the up-front
+    # labelling check passes and the enumeration itself goes too deep
+    path = tmp_path / "deep.mw"
+    path.write_text("braid 2: " + "1 " * 600 + "; close\n", encoding="utf-8")
+    t0 = time.perf_counter()
+    rc = cli.main(["jaeger", str(path)])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("skeinlab: error: jaeger ")
+    assert "604-event" in captured.err
+    assert elapsed < 3.0  # about 0.2 s on a 2-vCPU machine
+
+
 def test_verify_coassoc_budget_on_nine_circle_unlink(tmp_path, capsys):
     # 3^9 single-label colourings exceed the state-sum budget at n = 3, so
     # `verify coassoc` refuses the unlink; `verify jaeger` (2^9) answers it

@@ -41,14 +41,25 @@ def test_labelling_count_disjoint_circles():
     assert len(admissible(w, 2)) == 8
 
 
+# the closure of s1^2 with a braid strand twisted twice around its
+# closing arc: the two middle crossings are sideways
+SIDEWAYS_CLOSURE = ("cup 1 >\ncup 2 >\nx 3 o\nx 2 o\nx 2 o\nx 3 o\n"
+                    "cap 2 <\ncap 1 <")
+
+
 def test_labelling_count_matches_brute_force():
+    """The enumeration yields the brute-force sequence itself: the
+    lexicographic order over ascending edge ids, which `--trace` prints,
+    with each map's keys in that order."""
     rng = random.Random(51)
-    for _ in range(12):
-        w = random_word(rng, max_events=10, max_crossings=4)
-        got = admissible(w, 2)
-        want = brute_force_labellings(w, 2)
-        assert sorted(map(sorted, (g.items() for g in got))) == \
-            sorted(map(sorted, (g.items() for g in want)))
+    words = [random_word(rng, max_events=10, max_crossings=4) for _ in range(12)]
+    words += [T.desugar_braid(2, [1, 1], True), T.desugar_braid(3, [1, -2, 1], True),
+              T.parse_morse(SIDEWAYS_CLOSURE)]
+    for n in (1, 2, 3):
+        for w in words:
+            got = admissible(w, n)
+            want = brute_force_labellings(w, n)
+            assert [list(f.items()) for f in got] == [list(f.items()) for f in want]
     hopf = T.desugar_braid(2, [1, 1], True)
     assert len(admissible(hopf, 2)) == len(brute_force_labellings(hopf, 2)) == 5
 

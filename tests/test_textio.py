@@ -127,6 +127,18 @@ def test_render_rejects_unknown():
         T.render(Word(), "yaml")
 
 
+@pytest.mark.parametrize("header", ["surface plane", "framing blackboard",
+                                    "profile ^g vg"])
+@pytest.mark.parametrize("body", ["cup 1 >\ncap 1 <", "braid 2: 1 1 1 ; close"])
+def test_header_after_body_is_refused(header, body):
+    text = f"{body}\n{header}\n"
+    line = text.count("\n")
+    with pytest.raises(T.SemanticError) as err:
+        T.parse_morse(text)
+    assert str(err.value) == f"{header.split()[0]} header after body at line {line}"
+    assert err.value.line == line
+
+
 def test_comments_and_blanks_ignored():
     w = T.parse_morse("# a circle\n\nsurface plane\ncup 1 >  # birth\ncap 1 <\n")
     assert len(w.events) == 2
