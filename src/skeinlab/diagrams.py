@@ -106,18 +106,11 @@ def describe_word(word: Word) -> str:
 
 
 def oriented_sign(o_left: str, o_right: str, tag: str) -> int:
-    """Crossing sign by the right-hand rule.
-
-    The strand occupying lower-left/upper-right runs along (1,1) when
-    oriented up and (-1,-1) when oriented down; the other strand along
-    (-1,1) or (1,-1). Positive means the z-component of over x under is
-    positive, which makes the braid generator (both strands up, "o") +1.
-    """
-    d_slash = (1, 1) if o_left == UP else (-1, -1)
-    d_back = (-1, 1) if o_right == UP else (1, -1)
-    over, under = (d_slash, d_back) if tag == OVER_LEFT else (d_back, d_slash)
-    z = over[0] * under[1] - over[1] * under[0]
-    return 1 if z > 0 else -1
+    """Crossing sign by the right-hand rule: +1 for two upward strands
+    with tag "o" (the braid generator). Reversing either strand's
+    orientation negates it, and so does the tag "u"."""
+    sign = 1 if tag == OVER_LEFT else -1
+    return sign * (1 if o_left == UP else -1) * (1 if o_right == UP else -1)
 
 
 class Component(NamedTuple):
@@ -145,7 +138,10 @@ class Analysis(NamedTuple):
     Slots are numbered in the order the scan creates them: the bottom
     profile left to right, then per event the cup's left and right strand
     or the crossing's above-left and above-right strand. `nxt` maps each
-    slot to the next one along the orientation, so it permutes the slots.
+    slot to (next slot along the orientation, passage), so it permutes
+    the slots. The passage is None, or (crossing index, strand) where the
+    step runs through a crossing: strand 0 enters the crossing at the
+    lower left, and it is the over-strand exactly when the tag is "o".
     A component is a cycle of `nxt`, named by its least slot (its
     basepoint), so components come in basepoint order. Edges are the
     state sum's and are read off the same cycles there (`jaeger.slot_edges`).
@@ -295,25 +291,6 @@ def analyze(word: Word) -> Analysis:
                   for i, root in enumerate(basepoints)]
     return Analysis(n_slots, slot_orient, slot_colour, crossings, extrema,
                     bottom, strands, nxt, components, slot_component)
-
-
-def passage_sequence(ana: Analysis) -> list:
-    """Flatten crossing passages by walking each component from its
-    basepoint, components in basepoint order.
-
-    Returns a list of (crossing index, strand id) in traversal order.
-    """
-    out = []
-    for comp in ana.components:
-        start = slot = comp.basepoint
-        while True:
-            nxt, passage = ana.nxt[slot]
-            if passage is not None:
-                out.append(passage)
-            slot = nxt
-            if slot == start:
-                break
-    return out
 
 
 # -- word surgery ---------------------------------------------------------

@@ -3,9 +3,10 @@
 The defining relations: positive minus negative crossing equals
 (q - q^-1) times the oriented smoothing, a positive curl multiplies by
 q^t, and a free loop contributes the loop value d. The resolver rewrites
-the first crossing (in traversal order) whose first passage goes under,
-and a descending diagram is a split union of unknots whose framings are
-the component self-writhes:
+the first crossing whose first passage goes under, walking the
+components in basepoint order, each from its basepoint. A descending
+diagram is a split union of unknots whose framings are the component
+self-writhes:
 
     value = d^(#components) * q^(t * total self-writhe).
 
@@ -72,15 +73,24 @@ def _require_closed_plane(word: Word) -> None:
                         "annulus elements need the coproduct machinery")
 
 
-def _bad_crossings(ana):
-    """Indices of the crossings traversed under before over, in traversal
-    order."""
+def _first_bad(ana) -> Optional[int]:
+    """The crossing the resolver rewrites: walking the components in
+    basepoint order, each from its basepoint along `nxt`, the first
+    crossing whose first passage goes under; None on a descending
+    diagram."""
     seen = set()
-    for ci, strand in diagrams.passage_sequence(ana):
-        if ci not in seen:
-            seen.add(ci)
-            if strand != (0 if ana.crossings[ci].tag == OVER_LEFT else 1):
-                yield ci
+    for comp in ana.components:
+        start = slot = comp.basepoint
+        while True:
+            slot, passage = ana.nxt[slot]
+            if passage is not None and passage[0] not in seen:
+                ci, strand = passage
+                if strand != (0 if ana.crossings[ci].tag == OVER_LEFT else 1):
+                    return ci
+                seen.add(ci)
+            if slot == start:
+                break
+    return None
 
 
 def reduce_r2(word: Word) -> Word:
@@ -155,7 +165,7 @@ def _resolve(word: Word, memo: dict, state: list) -> list:
     if state[0] < 0:
         raise BudgetError("skein resolution", state[1], "nodes", word)
     ana = analyze(word)
-    bad = next(_bad_crossings(ana), None)
+    bad = _first_bad(ana)
     if bad is None:
         sw = sum(c.self_writhe for c in ana.components)
         poly = {scalars.pack((0, sw, len(ana.components))): 1}

@@ -6,8 +6,8 @@ from skeinlab import corpus
 from skeinlab import diagrams as D
 from skeinlab import jaeger as J
 from skeinlab import textio as T
-from skeinlab.diagrams import (ANNULUS, BLACKBOARD, CAP, CUP, Event, GREEN,
-                               OVER_LEFT, RADIAL, RED, UP, VIOLET, Word)
+from skeinlab.diagrams import (ANNULUS, BLACKBOARD, CAP, CUP, DOWN, Event, GREEN,
+                               OVER_LEFT, OVER_RIGHT, RADIAL, RED, UP, VIOLET, Word)
 
 import isotopy
 from conftest import random_braid_closure, random_word
@@ -58,6 +58,25 @@ def test_writhe_examples():
                     for c in ana.crossings]
     assert sum(per_crossing) == 3
     assert isotopy.writhe(s13) == 3
+
+
+def _cross_product_sign(o_left, o_right, tag):
+    """Reference: the strand through the lower left runs along (1,1) when
+    up and (-1,-1) when down, the other along (-1,1) or (1,-1); the sign
+    is that of the z-component of over x under."""
+    d_slash = (1, 1) if o_left == UP else (-1, -1)
+    d_back = (-1, 1) if o_right == UP else (1, -1)
+    over, under = (d_slash, d_back) if tag == OVER_LEFT else (d_back, d_slash)
+    z = over[0] * under[1] - over[1] * under[0]
+    return 1 if z > 0 else -1
+
+
+def test_oriented_sign_matches_the_cross_product():
+    cases = [(l, r, t) for l in (UP, DOWN) for r in (UP, DOWN)
+             for t in (OVER_LEFT, OVER_RIGHT)]
+    for case in cases:
+        assert D.oriented_sign(*case) == _cross_product_sign(*case), case
+    assert D.oriented_sign(UP, UP, OVER_LEFT) == 1
 
 
 def test_mirror_and_reverse_symmetries():

@@ -353,3 +353,33 @@ def test_split_root_blocks_share_one_node_budget(monkeypatch):
         E.eval_one_colour(union)
     assert str(err.value).startswith(
         f"skein resolution exceeded its budget of {nodes - 1} nodes; offending word: ")
+
+
+def _oracle_first_bad(ana):
+    under = isotopy._first_passages_under(
+        ana, range(len(ana.components)), [c.basepoint for c in ana.components])
+    return under[0] if under else None
+
+
+def test_first_bad_matches_the_oracle_scan():
+    # the crossing each node rewrites fixes every memo key below it; the
+    # oracle walks the same order with its own scan
+    rng = random.Random(24)
+    words = [random_word(rng) for _ in range(300)]
+    words += [random_braid_closure(rng, 5, 10) for _ in range(150)]
+    seen = {"bad": 0, "multi": 0, "sideways": 0, "children": 0}
+    for i, w in enumerate(words):
+        ana = D.analyze(w)
+        bad = E._first_bad(ana)
+        assert bad == _oracle_first_bad(ana), D.word_key(w)
+        seen["bad"] += bad is not None
+        seen["multi"] += len(ana.components) > 1
+        seen["sideways"] += any(D.DOWN in c.orients for c in ana.crossings)
+        if bad is None or i % 10:
+            continue
+        cross = ana.crossings[bad]
+        for child in (D.flip_crossing(w, cross.event_index), D.smooth_crossing(w, cross)):
+            child_ana = D.analyze(E.reduce_r2(child))
+            assert E._first_bad(child_ana) == _oracle_first_bad(child_ana), D.word_key(child)
+            seen["children"] += 1
+    assert min(seen.values()) >= 40, seen

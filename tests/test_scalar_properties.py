@@ -1,4 +1,6 @@
-"""Property tests of packed `Scalar`s against the ring on exponent tuples.
+"""Property tests of packed `Scalar`s against the ring on exponent tuples,
+and of the laws of the structure maps: coproduct, counit, tensor
+embedding and bar.
 
 Examples are derandomized and few, so the suite stays deterministic and
 fast; hypothesis shrinks any failure to a small pair of elements.
@@ -60,3 +62,34 @@ def test_ring_axioms(data):
     assert x + zero == x and x * one == x and (x * zero).is_zero()
     assert (x + (-x)).is_zero() and x - y == x + (-y)
     assert hash(x * y) == hash(y * x)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_coproduct_is_a_coassociative_counital_ring_map(data):
+    (x, _, _), (y, _, _) = data.draw(elements(1)), data.draw(elements(1))
+    cop = S.scalar_coproduct
+    assert cop(x * y) == cop(x) * cop(y)
+    assert cop(x + y) == cop(x) + cop(y)
+    assert S.coproduct_slot(cop(x), 1) == S.coproduct_slot(cop(x), 2)
+    assert S.counit_slot(cop(x), 1) == x == S.counit_slot(cop(x), 2)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_tensor_embed_is_multiplicative_in_each_slot(data):
+    (x, _, _), (y, _, _) = data.draw(elements(1)), data.draw(elements(1))
+    for n in (1, 2, 3):
+        for slot in range(1, n + 1):
+            assert S.tensor_embed(x * y, slot, n) == \
+                S.tensor_embed(x, slot, n) * S.tensor_embed(y, slot, n)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_bar_is_an_involutive_ring_map(data):
+    (x, _, _), (y, _, _) = data.draw(elements(1)), data.draw(elements(1))
+    bar = isotopy.bar
+    assert bar(bar(x)) == x
+    assert bar(x * y) == bar(x) * bar(y)
+    assert bar(x + y) == bar(x) + bar(y)
