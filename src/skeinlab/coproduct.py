@@ -350,15 +350,6 @@ def annulus_eval_family(element: CoproductElement, k: int,
     return out
 
 
-def _same_annulus_element(lhs: CoproductElement, rhs: CoproductElement,
-                          memo: dict) -> bool:
-    """Are two annulus elements equal in the skein? Equal formal sums are;
-    otherwise the level-2 eval families decide. The family is a function
-    of the element, so the first test never changes the answer."""
-    return (lhs == rhs
-            or annulus_eval_family(lhs, 2, memo) == annulus_eval_family(rhs, 2, memo))
-
-
 # -- identity suites -------------------------------------------------------
 
 
@@ -394,8 +385,7 @@ def verify(identity: str, corpus, memo: Optional[dict] = None) -> Report:
     """Run one of the named `IDENTITIES` over (name, word) pairs.
 
     On the annulus, `mult` stacks the first entry w of each framing and
-    compares Δ(w^k) with Δ(w)^k for k = 2, 3 as formal sums; only when
-    the two sums differ does it build the separating eval family of each.
+    compares Δ(w^k) with Δ(w)^k for k = 2, 3 as formal sums.
 
     Each Δ(w) and each plane Δ(w)'s value is built once per `memo`, and
     the suites share them; `mult`'s unions go through the box walk too.
@@ -431,20 +421,16 @@ def verify(identity: str, corpus, memo: Optional[dict] = None) -> Report:
         for (n1, w1, v1), (n2, w2, v2) in iproduct(valued, valued):
             union = _box(diagrams.combine(w1, w2), memo, True)
             report.compare(f"{n1}|{n2}", ("union", union), ("product", v1 * v2))
-        by_framing: dict = {}
+        first: dict = {}
         for name, w in annulus_words:
-            by_framing.setdefault(w.framing, []).append((name, w))
-        for framing, entries in sorted(by_framing.items()):
-            base = entries[0][1]
-            split = _box(base, memo)
+            first.setdefault(w.framing, (name, w))
+        for framing, (name, base) in sorted(first.items()):
+            split = power = _box(base, memo)
             for k in (2, 3):
-                lhs = coproduct_diagram(diagrams.power(base, k))
-                rhs = split
-                for _ in range(k - 1):
-                    rhs = rhs * split
-                ok = _same_annulus_element(lhs, rhs, memo)
-                report.record(f"{entries[0][0]}^{k} ({framing})", ok,
-                              "" if ok else "eval-family vectors differ")
+                power = power * split
+                ok = coproduct_diagram(diagrams.power(base, k)) == power
+                report.record(f"{name}^{k} ({framing})", ok,
+                              "" if ok else "formal sums differ")
     else:  # framing-remark: Δ(core) = c1 core⊗1 + c2 1⊗core
         for framing, c1, c2 in ((RADIAL, scalars.integer(1, 2), scalars.integer(1, 2)),
                                 (BLACKBOARD, scalars.a_power(2, 1, 2),

@@ -216,17 +216,22 @@ class Scalar:
 
 
 def add_all(values: Iterable, arity: int) -> Scalar:
-    """The sum of arity-n Scalars: their numerators lifted to the largest
-    denominator met so far and added, with one canonical form at the end."""
+    """The sum of arity-n Scalars."""
+    return _lifted_sum(((v.terms, v.den_pow) for v in values), arity)
+
+
+def _lifted_sum(fractions: Iterable, arity: int) -> Scalar:
+    """The sum of num / (q - q^-1)^den_pow over (num terms, den_pow) pairs:
+    each numerator lifted to the largest denominator met so far and added,
+    with one canonical form at the end."""
     num: dict = {}
     den = 0
-    for v in values:
-        terms = v.terms
-        if v.den_pow > den:
-            num = _mul_terms(num, _s_power_terms(v.den_pow - den, arity), arity)
-            den = v.den_pow
-        elif v.den_pow < den:
-            terms = _mul_terms(terms, _s_power_terms(den - v.den_pow, arity), arity)
+    for terms, den_pow in fractions:
+        if den_pow > den:
+            num = _mul_terms(num, _s_power_terms(den_pow - den, arity), arity)
+            den = den_pow
+        elif den_pow < den:
+            terms = _mul_terms(terms, _s_power_terms(den - den_pow, arity), arity)
         for e, c in terms.items():
             num[e] = num.get(e, 0) + c
     return Scalar(arity, num, den)
@@ -298,25 +303,15 @@ def _delta_num_terms(k: int) -> dict:
 def from_loop_polynomial(poly: Mapping) -> Scalar:
     """The arity-1 element sum of c * q^e_q * a^e_a * d^k over the entries
     of poly, keyed `pack((e_q, e_a, k))`, with d = (a - a^-1) / (q - q^-1).
-    Dropping a key's low field leaves the arity-1 key of q^e_q a^e_a.
-
-    Over (q - q^-1)^top, for the top power of d present, the part of
-    d-degree k contributes (a - a^-1)^k * (q - q^-1)^(top - k); the
-    constructor then divides out what it can.
+    Dropping a key's low field leaves the arity-1 key of q^e_q a^e_a. The
+    part of d-degree k is (a - a^-1)^k * part / (q - q^-1)^k; the parts are
+    summed from the top degree down, so each is lifted once.
     """
-    if not poly:
-        return Scalar.zero(1)
     parts: dict = {}
     for key, c in _in_field(poly, 2).items():
         parts.setdefault((key & _F) - _B, {})[key >> _W] = c
-    top = max(parts)
-    num: dict = {}
-    for k, part in parts.items():
-        lifted = _mul_terms(_mul_terms(part, _delta_num_terms(k), 1),
-                            _s_power_terms(top - k, 1), 1)
-        for e, c in lifted.items():
-            num[e] = num.get(e, 0) + c
-    return Scalar(1, num, top)
+    return _lifted_sum(((_mul_terms(parts[k], _delta_num_terms(k), 1), k)
+                        for k in sorted(parts, reverse=True)), 1)
 
 
 def from_cut_terms(terms: Mapping, arity: int) -> Scalar:

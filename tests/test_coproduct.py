@@ -594,17 +594,33 @@ def test_annulus_power_coproduct_is_the_product_term_by_term():
             assert C.coproduct_diagram(D.power(w, k)) == prod, (w, k)
 
 
-def test_same_annulus_element_falls_back_to_the_eval_family():
+def test_eval_family_equates_isotopic_annulus_coproducts():
+    # an R2 pair or a zigzag changes the formal sum of Δ(w) but not its
+    # level-2 eval family; doubling every coefficient changes both
     memo = {}
     w = T.desugar_braid(2, [1], False)
     element = C.coproduct_diagram(w)
+    family = C.annulus_eval_family(element, 2, memo)
     r2 = C.coproduct_diagram(isotopy.insert_r2(w, 0, 1))
     zigzag = C.coproduct_diagram(isotopy.insert_zigzag(w, 1, 2))
     for other in (r2, zigzag):
         assert other != element
-        assert C._same_annulus_element(element, other, memo)
-    assert C._same_annulus_element(element, element, memo)
+        assert C.annulus_eval_family(other, 2, memo) == family
     doubled = C.CoproductElement(element.slots, element.surface)
     for words, coeff in element.terms.items():
         doubled.add(words, coeff * 2)
-    assert not C._same_annulus_element(element, doubled, memo)
+    assert C.annulus_eval_family(doubled, 2, memo) != family
+
+
+def test_verify_mult_fails_annulus_powers_whose_formal_sums_differ(monkeypatch, capsys):
+    # w^k with an R2 pair inserted is isotopic to w^k, so an eval family
+    # would pass it; annulus `mult` compares formal sums only, and fails it
+    power = D.power
+    monkeypatch.setattr(C.diagrams, "power",
+                        lambda w, k: isotopy.insert_r2(power(w, k), 0, 1))
+    assert cli.main(["verify", "mult"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-5:] == [
+        f"FAIL  mult  annulus-core-{framing}^{k} ({framing})  [formal sums differ]"
+        for framing in (BLACKBOARD, RADIAL) for k in (2, 3)
+    ] + ["FAILED: 85 checks, 4 failures"]

@@ -6,6 +6,8 @@ Examples are derandomized and few, so the suite stays deterministic and
 fast; hypothesis shrinks any failure to a small pair of elements.
 """
 
+from math import comb
+
 import pytest
 
 from skeinlab import scalars as S
@@ -93,3 +95,31 @@ def test_bar_is_an_involutive_ring_map(data):
     assert bar(bar(x)) == x
     assert bar(x * y) == bar(x) * bar(y)
     assert bar(x + y) == bar(x) + bar(y)
+
+
+@st.composite
+def loop_polynomials(draw):
+    """Loop polynomials keyed by (e_q, e_a, k), for c * q^e_q * a^e_a * d^k:
+    a few terms in d-degrees 0 to 3, plus multiples of the relation
+    (q - q^-1) d^(k+1) - (a - a^-1) d^k, whose terms sum to zero."""
+    expo = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3))
+    poly = draw(st.dictionaries(expo, st.integers(-5, 5), max_size=6))
+    for (e_q, e_a, k), c in draw(st.lists(st.tuples(expo, st.integers(-3, 3)), max_size=3)):
+        for key, sign in (((e_q + 1, e_a, k + 1), 1), ((e_q - 1, e_a, k + 1), -1),
+                          ((e_q, e_a + 1, k), -1), ((e_q, e_a - 1, k), 1)):
+            poly[key] = poly.get(key, 0) + sign * c
+    return poly
+
+
+@SETTINGS
+@hypothesis.given(loop_polynomials())
+@hypothesis.example({})
+def test_from_loop_polynomial_matches_the_tuple_ring(poly):
+    # the part of d-degree k is (a - a^-1)^k * part / (q - q^-1)^k
+    value = ({}, 0)
+    for k in {key[2] for key in poly}:
+        part = {key[:2]: c for key, c in poly.items() if key[2] == k}
+        numerator = {(0, k - 2 * j): (-1) ** j * comb(k, j) for j in range(k + 1)}
+        value = isotopy.ref_add(value, (isotopy.ref_product(part, numerator), k), 1)
+    got = S.from_loop_polynomial({S.pack(key): c for key, c in poly.items()})
+    assert (isotopy.ref_terms(got), got.den_pow) == isotopy.ref_canonical(*value)
