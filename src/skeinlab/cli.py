@@ -85,12 +85,10 @@ def cmd_verify(args, _word) -> int:
     idents = coproduct.IDENTITIES if args.identity == "all" else (args.identity,)
     memo = {}  # one for every suite: a word resolved once serves them all
     reports = [coproduct.verify(i, entries, memo) for i in idents]
-    failures = 0
-    for report in reports:
-        print(report.text())
-        failures += report.failures
-    print(f"{'ok' if not failures else 'FAILED'}: "
-          f"{sum(len(r.lines) for r in reports)} checks, {failures} failures")
+    lines = [line for r in reports for line in r.lines]
+    failures = sum(r.failures for r in reports)
+    print("\n".join(lines + [f"{'ok' if not failures else 'FAILED'}: "
+                             f"{len(lines)} checks, {failures} failures"]))
     return 0 if failures == 0 else 2
 
 

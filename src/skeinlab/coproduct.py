@@ -315,8 +315,8 @@ def coproduct_iterated(word: Word, n: int, side: str = "left",
         for words, coeff in element.terms.items():
             lifted = scalars.coproduct_slot(coeff, slot)
             for (d1, d2), c in _box(words[slot - 1], memo).terms.items():
-                cc = scalars.rename_slots(c, (slot, slot + 1), out.slots)
-                out.add(words[:slot - 1] + (d1, d2) + words[slot:], lifted * cc)
+                out.add(words[:slot - 1] + (d1, d2) + words[slot:],
+                        lifted * scalars.tensor_embed(c, slot, out.slots))
             if len(out.terms) > ITERATED_BUDGET:
                 raise engine.BudgetError("coproduct_iterated", ITERATED_BUDGET,
                                          "terms", word)
@@ -376,9 +376,6 @@ class Report:
         ok = all(value == first for _, value in pairs[1:])
         self.record(name, ok, "" if ok else " vs ".join(
             f"{label} {scalars.pretty(value)}" for label, value in pairs))
-
-    def text(self) -> str:
-        return "\n".join(self.lines)
 
 
 def verify(identity: str, corpus, memo: Optional[dict] = None) -> Report:

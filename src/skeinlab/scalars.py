@@ -228,10 +228,10 @@ def _lifted_sum(fractions: Iterable, arity: int) -> Scalar:
     den = 0
     for terms, den_pow in fractions:
         if den_pow > den:
-            num = _mul_terms(num, _s_power_terms(den_pow - den, arity), arity)
+            num = _mul_terms(num, _binomial(den_pow - den, 0, arity), arity)
             den = den_pow
         elif den_pow < den:
-            terms = _mul_terms(terms, _s_power_terms(den - den_pow, arity), arity)
+            terms = _mul_terms(terms, _binomial(den - den_pow, 0, arity), arity)
         for e, c in terms.items():
             num[e] = num.get(e, 0) + c
     return Scalar(arity, num, den)
@@ -251,11 +251,13 @@ def _mul_terms(a: dict, b: dict, arity: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _s_power_terms(k: int, arity: int) -> dict:
-    """Terms of (q - q^-1)^k by the binomial theorem. The dict is shared
-    between callers, so it must never be mutated."""
-    zero = (0,) * arity
-    return {pack((k - 2 * j,) + zero): (-1) ** j * comb(k, j) for j in range(k + 1)}
+def _binomial(k: int, field: int, arity: int) -> dict:
+    """Terms of (x - x^-1)^k by the binomial theorem, for x = q at field 0
+    and x = a_field otherwise. The dict is shared between callers, so it
+    must never be mutated."""
+    zeros = [0] * (arity + 1)
+    return {pack(zeros[:field] + [k - 2 * j] + zeros[field + 1:]): (-1) ** j * comb(k, j)
+            for j in range(k + 1)}
 
 
 # -- named elements -----------------------------------------------------
@@ -285,19 +287,14 @@ def a_power(slot: int, e: int, arity: int) -> Scalar:
 
 
 def q_minus_qinv(arity: int) -> Scalar:
-    return Scalar(arity, _s_power_terms(1, arity), 0, _canonical=True)
+    return Scalar(arity, _binomial(1, 0, arity), 0, _canonical=True)
 
 
 def delta(slot: int, arity: int) -> Scalar:
     """The loop value d_slot = (a_slot - a_slot^-1) / (q - q^-1)."""
-    num = a_power(slot, 1, arity) - a_power(slot, -1, arity)
-    return Scalar(arity, num.terms, 1, _canonical=True)
-
-
-@lru_cache(maxsize=None)
-def _delta_num_terms(k: int) -> dict:
-    """Terms of (a - a^-1)^k at arity 1; shared, so never mutated."""
-    return {pack((0, k - 2 * j)): (-1) ** j * comb(k, j) for j in range(k + 1)}
+    if not 1 <= slot <= arity:
+        raise ArityError(f"slot {slot} out of range for arity {arity}")
+    return Scalar(arity, _binomial(1, slot, arity), 1, _canonical=True)
 
 
 def from_loop_polynomial(poly: Mapping) -> Scalar:
@@ -310,7 +307,7 @@ def from_loop_polynomial(poly: Mapping) -> Scalar:
     parts: dict = {}
     for key, c in _in_field(poly, 2).items():
         parts.setdefault((key & _F) - _B, {})[key >> _W] = c
-    return _lifted_sum(((_mul_terms(parts[k], _delta_num_terms(k), 1), k)
+    return _lifted_sum(((_mul_terms(parts[k], _binomial(k, 1, 1), 1), k)
                         for k in sorted(parts, reverse=True)), 1)
 
 
@@ -322,7 +319,7 @@ def from_cut_terms(terms: Mapping, arity: int) -> Scalar:
     out: dict = {}
     for key, c in terms.items():
         apart = key & amask
-        for sq, b in _s_power_terms((key >> top) - _B, arity).items():
+        for sq, b in _binomial((key >> top) - _B, 0, arity).items():
             k = (sq & ~amask) | apart
             out[k] = out.get(k, 0) + c * b
     return Scalar(arity, out)
@@ -332,14 +329,15 @@ def from_cut_terms(terms: Mapping, arity: int) -> Scalar:
 
 
 def tensor_embed(s: Scalar, slot: int, arity: int) -> Scalar:
-    """Rename the single a of an arity-1 element into the given slot."""
-    if s.arity != 1:
-        raise ArityError("tensor_embed expects an arity-1 element")
-    if not 1 <= slot <= arity:
+    """Place the k = s.arity a-fields of s at slots slot .. slot+k-1 of a
+    fresh arity-n element, whose other a-fields are 0."""
+    k = s.arity
+    if not 1 <= slot <= arity - k + 1:
         raise ArityError(f"slot {slot} out of range for arity {arity}")
-    top, sh = _W * arity, _W * (arity - slot)
-    rest = _layout(arity)[0] - (_B << top) - (_B << sh)  # the other a-fields at 0
-    out = {((k >> _W) << top) + ((k & _F) << sh) + rest: c for k, c in s.terms.items()}
+    top, sh, low = _W * arity, _W * (arity - slot - k + 1), (1 << (_W * k)) - 1
+    rest = _layout(arity)[0] - (_B << top) - ((_layout(k)[0] & low) << sh)  # other a-fields 0
+    out = {((key >> (_W * k)) << top) + ((key & low) << sh) + rest: c
+           for key, c in s.terms.items()}
     return Scalar(arity, out, s.den_pow, _canonical=True)
 
 
@@ -398,22 +396,6 @@ def specialize(s: Scalar, values: Iterable) -> Scalar:
     if value.den_pow:
         raise SpecializeError("not polynomial at this specialization")
     return value
-
-
-def rename_slots(s: Scalar, target: Iterable, arity: int) -> Scalar:
-    """Send slot i of s to slot target[i-1] of a fresh arity-n element."""
-    tgt = list(target)
-    if len(tgt) != s.arity:
-        raise ArityError("one target slot per source slot required")
-    out: dict = {}
-    for k, c in s.terms.items():
-        expo = unpack(k, s.arity)
-        exps = [expo[0]] + [0] * arity
-        for t, e in zip(tgt, expo[1:]):
-            exps[t] += e
-        key = pack(exps)
-        out[key] = out.get(key, 0) + c
-    return Scalar(arity, out, s.den_pow)
 
 
 # -- rendering -----------------------------------------------------------

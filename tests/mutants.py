@@ -70,9 +70,14 @@ MUTANTS = [
            "the engine never cuts a split word into its blocks"),
     Mutant("src/skeinlab/scalars.py", "if any(sums.values()):", "if True:",
            "no Scalar is reduced to canonical form"),
-    Mutant("src/skeinlab/scalars.py", "_s_power_terms(den - den_pow, arity)",
-           "_s_power_terms(den - den_pow - 1, arity)",
+    Mutant("src/skeinlab/scalars.py", "_binomial(den - den_pow, 0, arity)",
+           "_binomial(den - den_pow - 1, 0, arity)",
            "a summand below the largest denominator is lifted one power short"),
+    Mutant("src/skeinlab/scalars.py", "_W * (arity - slot - k + 1)", "_W * (arity - slot)",
+           "an element of arity k > 1 is embedded k - 1 slots too far left"),
+    Mutant("src/skeinlab/scalars.py", "zeros[:field] + [k - 2 * j] + zeros[field + 1:]",
+           "[k - 2 * j] + zeros[1:]",
+           "the binomial table ignores its field: (a - a^-1)^k becomes (q - q^-1)^k"),
 ]
 
 

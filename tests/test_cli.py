@@ -130,6 +130,23 @@ def test_verify_corpus_path(tmp_path, capsys):
     assert "pass  jaeger  a" in out and "pass  jaeger  b" in out
 
 
+def test_verify_prints_no_line_for_a_suite_without_checks(tmp_path, capsys):
+    # an annulus-only corpus gives the plane suites nothing to check, and
+    # an empty one leaves only framing-remark
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (tmp_path / "core.mw").write_text("surface annulus\nframing blackboard\nprofile ^g\n",
+                                      encoding="utf-8")
+    remark = "pass  framing-remark  core radial\npass  framing-remark  core blackboard\n"
+    for argv, want in (
+            (["all", str(tmp_path)], "pass  mult  core^2 (blackboard)\n"
+             "pass  mult  core^3 (blackboard)\n" + remark + "ok: 4 checks, 0 failures\n"),
+            (["jaeger", str(tmp_path)], "ok: 0 checks, 0 failures\n"),
+            (["all", str(empty)], remark + "ok: 2 checks, 0 failures\n")):
+        assert cli.main(["verify", argv[0], "--corpus", argv[1]]) == 0
+        assert capsys.readouterr().out == want, argv
+
+
 def test_deterministic_output_stable(trefoil_file, capsys):
     cli.main(["jaeger", trefoil_file])
     first = capsys.readouterr().out

@@ -153,7 +153,7 @@ def test_unknot_term_level():
 
 def test_framing_remark_term_level():
     report = C.verify("framing-remark", [])
-    assert report.failures == 0, report.text()
+    assert report.failures == 0, "\n".join(report.lines)
     core_r = Word(ANNULUS, RADIAL, ((UP, GREEN),), ())
     got = C.coproduct_diagram(core_r)
     assert all(S.pretty(c) == "1" for c in got.terms.values())
@@ -262,6 +262,20 @@ def test_iterated_coproduct_three_slots(plane_corpus, shared_memo):
         assert left == right == s3, name
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_iterated_coproduct_beyond_three_slots(plane_corpus, n):
+    # the box coefficients enter n slots two at a time, by
+    # `scalars.tensor_embed`; the n-label state sum places no block
+    rng = random.Random(3)
+    words = [(name, w) for name, w in plane_corpus] + \
+        [(f"random-{i}", random_word(rng, max_events=10, max_crossings=3)) for i in range(8)]
+    for name, w in words:
+        memo = {}
+        want = J.state_sum(w, n, memo)
+        assert C.coproduct_iterated(w, n, "left", memo).evaluate(memo) == want, name
+        assert C.coproduct_iterated(w, n, "right", memo).evaluate(memo) == want, name
+
+
 def test_iterated_unknot_value():
     w = Word(events=(Event(CUP, 1, ">"), Event(CAP, 1, "<")))
     want = (S.delta(1, 3) * S.a_power(2, 1, 3) * S.a_power(3, 1, 3)
@@ -338,7 +352,7 @@ def element_eval_via_closure(element, counts):
             for _ in range(j):
                 w = D.thread_meridian(w)
             h = E.eval_one_colour(D.planar_closure(w), memo)
-            value = value * S.rename_slots(h, (slot,), element.slots)
+            value = value * S.tensor_embed(h, slot, element.slots)
         total = total + value
     return total
 
@@ -531,7 +545,7 @@ def test_apply_counit_bounds():
 def test_verify_reports():
     words = [("unknot", Word(events=(Event(CUP, 1, ">"), Event(CAP, 1, "<"))))]
     report = C.verify("jaeger", words)
-    assert report.failures == 0 and "pass" in report.text()
+    assert report.failures == 0 and "pass" in "\n".join(report.lines)
     with pytest.raises(C.CoproductError):
         C.verify("nonsense", words)
 

@@ -1,6 +1,7 @@
 """Property tests of packed `Scalar`s against the ring on exponent tuples,
 and of the laws of the structure maps: coproduct, counit, tensor
-embedding and bar.
+embedding and bar; and of the binomial table behind (q - q^-1)^k and
+(a - a^-1)^k.
 
 Examples are derandomized and few, so the suite stays deterministic and
 fast; hypothesis shrinks any failure to a small pair of elements.
@@ -77,14 +78,57 @@ def test_coproduct_is_a_coassociative_counital_ring_map(data):
     assert S.counit_slot(cop(x), 1) == x == S.counit_slot(cop(x), 2)
 
 
+def legal_embeddings(k: int):
+    """(slot, target arity) for every place an arity-k element fits,
+    target arities up to 4."""
+    return [(slot, n) for n in range(k, 5) for slot in range(1, n - k + 2)]
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_tensor_embed_places_the_a_fields_as_the_tuple_ring_does(data):
+    k = data.draw(st.integers(0, 3))
+    x, _, _ = data.draw(elements(k))
+    for slot, n in legal_embeddings(k):
+        got = S.tensor_embed(x, slot, n)
+        want = {(e[0],) + (0,) * (slot - 1) + e[1:] + (0,) * (n - slot - k + 1): c
+                for e, c in isotopy.ref_terms(x).items()}
+        assert (isotopy.ref_terms(got), got.den_pow) == (want, x.den_pow)
+    for bad in (0, 6 - k):
+        with pytest.raises(S.ArityError):
+            S.tensor_embed(x, bad, 4)
+
+
 @SETTINGS
 @hypothesis.given(st.data())
 def test_tensor_embed_is_multiplicative_in_each_slot(data):
-    (x, _, _), (y, _, _) = data.draw(elements(1)), data.draw(elements(1))
-    for n in (1, 2, 3):
-        for slot in range(1, n + 1):
-            assert S.tensor_embed(x * y, slot, n) == \
-                S.tensor_embed(x, slot, n) * S.tensor_embed(y, slot, n)
+    k = data.draw(st.integers(0, 3))
+    (x, _, _), (y, _, _) = data.draw(elements(k)), data.draw(elements(k))
+    for slot, n in legal_embeddings(k):
+        assert S.tensor_embed(x * y, slot, n) == \
+            S.tensor_embed(x, slot, n) * S.tensor_embed(y, slot, n)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_tensor_embeds_compose(data):
+    k = data.draw(st.integers(0, 3))
+    x, _, _ = data.draw(elements(k))
+    for i, m in legal_embeddings(k):
+        inner = S.tensor_embed(x, i, m)
+        for j, n in legal_embeddings(m):
+            assert S.tensor_embed(inner, j, n) == S.tensor_embed(x, i + j - 1, n)
+
+
+def test_binomial_table_matches_the_tuple_ring():
+    for n in range(4):
+        for f in range(n + 1):
+            x = tuple(int(i == f) for i in range(n + 1))
+            base = {x: 1, tuple(-e for e in x): -1}
+            power = {(0,) * (n + 1): 1}
+            for k in range(7):
+                assert {S.unpack(key, n): c for key, c in S._binomial(k, f, n).items()} == power
+                power = {e: c for e, c in isotopy.ref_product(power, base).items() if c}
 
 
 @SETTINGS

@@ -121,8 +121,12 @@ def test_tensor_embed():
     assert S.tensor_embed(d, 1, 2) == S.delta(1, 2)
     assert S.tensor_embed(S.Scalar.one(1), 2, 3) == S.Scalar.one(3)
     assert S.tensor_embed(S.a_power(1, 1, 1), 2, 2) == S.a_power(2, 1, 2)
+    assert S.tensor_embed(S.delta(2, 2), 2, 3) == S.delta(3, 3)
+    # an arity-2 element fills two neighbouring slots
+    x = S.a_power(1, 1, 2) * S.a_power(2, -1, 2)
+    assert S.tensor_embed(x, 2, 4) == S.monomial(4, a=[0, 1, -1, 0])
     with pytest.raises(S.ArityError):
-        S.tensor_embed(S.delta(1, 2), 1, 3)
+        S.tensor_embed(x, 2, 2)
 
 
 def test_canonical_equality_matches_cross_multiplication():
@@ -176,12 +180,6 @@ def test_pretty_forms():
     d = S.delta(1, 1)
     assert S.pretty(d) == "(-q^-1t + q^t) / (q - q^-1)"
     assert "q^t1" in S.pretty(S.a_power(1, 1, 2))
-
-
-def test_rename_slots_collision_reduces():
-    x = S.a_power(1, 1, 2) * S.a_power(2, -1, 2)
-    collapsed = S.rename_slots(x, (1, 1), 1)
-    assert collapsed == S.Scalar.one(1)
 
 
 def test_packed_fields_hold_their_extreme_exponents():
